@@ -32,36 +32,9 @@
 //   - Straggler: when the queue is otherwise empty, a lease stalled past
 //     the speculation threshold is re-issued to an idle worker; first
 //     delivery wins, the loser's results are dropped as duplicates.
-package cluster
-
-import (
-	"fbdsim/pkg/fbdclient"
-)
-
-// The wire types of the cluster protocol are defined once, in
+//
+// The wire types of the cluster protocol (fbdclient.Lease, WorkerInfo,
+// Counters and the join/heartbeat bodies) are defined once, in
 // pkg/fbdclient, so the coordinator, the worker agent and external tools
-// compile against a single contract. The aliases below keep this
-// package's vocabulary (cluster.Lease, cluster.WorkerInfo, ...) intact.
-
-// Lease is one batch of grid points assigned to one worker: the
-// coordinator→worker wire format of POST /v1/cluster/execute.
-type Lease = fbdclient.Lease
-
-// JoinRequest registers a worker with the coordinator
-// (POST /v1/cluster/join).
-type JoinRequest = fbdclient.JoinRequest
-
-// JoinResponse tells the joining worker the coordinator's expectations.
-type JoinResponse = fbdclient.JoinResponse
-
-// HeartbeatRequest is the worker liveness beacon
-// (POST /v1/cluster/heartbeat).
-type HeartbeatRequest = fbdclient.HeartbeatRequest
-
-// WorkerInfo is one worker's row in the coordinator's membership view
-// (GET /v1/cluster and the dashboard panel).
-type WorkerInfo = fbdclient.WorkerInfo
-
-// Counters is the coordinator's failure-visibility surface, exported as
-// cluster_* metrics.
-type Counters = fbdclient.Counters
+// compile against a single contract.
+package cluster

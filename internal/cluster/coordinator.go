@@ -13,6 +13,7 @@ import (
 
 	"fbdsim/internal/retry"
 	"fbdsim/internal/sweep"
+	"fbdsim/pkg/fbdclient"
 )
 
 // Executor dispatches one lease to one worker and calls commit for every
@@ -23,7 +24,7 @@ import (
 // re-queues whatever is missing either way. The default is HTTPExecutor;
 // tests substitute fakes to script worker failures.
 type Executor interface {
-	Execute(ctx context.Context, w WorkerInfo, lease Lease, commit func(sweep.Point)) error
+	Execute(ctx context.Context, w fbdclient.WorkerInfo, lease fbdclient.Lease, commit func(sweep.Point)) error
 }
 
 // Options tunes the coordinator's failure detection. The zero value is
@@ -147,7 +148,7 @@ func NewCoordinator(opts Options) *Coordinator {
 // Join registers (or re-registers) a worker and wakes every run that may
 // have points waiting for capacity. Re-joining clears any failure
 // suspicion: the worker proved it is alive and reachable.
-func (c *Coordinator) Join(id, url string) JoinResponse {
+func (c *Coordinator) Join(id, url string) fbdclient.JoinResponse {
 	now := time.Now()
 	c.mu.Lock()
 	w, ok := c.workers[id]
@@ -169,7 +170,7 @@ func (c *Coordinator) Join(id, url string) JoinResponse {
 	} else {
 		c.log.Info("cluster: worker joined", "worker", id, "url", url)
 	}
-	return JoinResponse{
+	return fbdclient.JoinResponse{
 		HeartbeatMS: c.opts.HeartbeatEvery.Milliseconds(),
 		LeaseTTLMS:  c.opts.LeaseTTL.Milliseconds(),
 	}
@@ -214,8 +215,8 @@ func (c *Coordinator) liveLocked(w *workerState, now time.Time) bool {
 	return live
 }
 
-func (c *Coordinator) infoLocked(w *workerState, now time.Time) WorkerInfo {
-	return WorkerInfo{
+func (c *Coordinator) infoLocked(w *workerState, now time.Time) fbdclient.WorkerInfo {
+	return fbdclient.WorkerInfo{
 		ID:            w.id,
 		URL:           w.url,
 		Joined:        w.joined,
@@ -228,11 +229,11 @@ func (c *Coordinator) infoLocked(w *workerState, now time.Time) WorkerInfo {
 }
 
 // Workers returns the membership view, sorted by ID.
-func (c *Coordinator) Workers() []WorkerInfo {
+func (c *Coordinator) Workers() []fbdclient.WorkerInfo {
 	now := time.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]WorkerInfo, 0, len(c.workers))
+	out := make([]fbdclient.WorkerInfo, 0, len(c.workers))
 	for _, w := range c.workers {
 		out = append(out, c.infoLocked(w, now))
 	}
@@ -241,8 +242,8 @@ func (c *Coordinator) Workers() []WorkerInfo {
 }
 
 // liveWorkers returns only the currently lease-eligible workers.
-func (c *Coordinator) liveWorkers() []WorkerInfo {
-	var out []WorkerInfo
+func (c *Coordinator) liveWorkers() []fbdclient.WorkerInfo {
+	var out []fbdclient.WorkerInfo
 	for _, w := range c.Workers() {
 		if w.Live {
 			out = append(out, w)
@@ -256,8 +257,8 @@ func (c *Coordinator) liveWorkers() []WorkerInfo {
 func (c *Coordinator) LiveWorkerCount() int { return len(c.liveWorkers()) }
 
 // Counters returns the failure-visibility counters.
-func (c *Coordinator) Counters() Counters {
-	return Counters{
+func (c *Coordinator) Counters() fbdclient.Counters {
+	return fbdclient.Counters{
 		WorkersJoined:    c.workersJoined.Load(),
 		WorkersLost:      c.workersLost.Load(),
 		LeasesGranted:    c.leasesGranted.Load(),
@@ -268,13 +269,13 @@ func (c *Coordinator) Counters() Counters {
 	}
 }
 
-func (c *Coordinator) workerInfo(id string) (WorkerInfo, bool) {
+func (c *Coordinator) workerInfo(id string) (fbdclient.WorkerInfo, bool) {
 	now := time.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	w, ok := c.workers[id]
 	if !ok {
-		return WorkerInfo{}, false
+		return fbdclient.WorkerInfo{}, false
 	}
 	return c.infoLocked(w, now), true
 }
@@ -390,9 +391,9 @@ type Run struct {
 // leaseState tracks one outstanding lease. Mutable fields are guarded by
 // Run.mu.
 type leaseState struct {
-	lease        Lease
+	lease        fbdclient.Lease
 	worker       string
-	info         WorkerInfo
+	info         fbdclient.WorkerInfo
 	issued       time.Time
 	lastProgress time.Time
 	remaining    int
@@ -535,7 +536,7 @@ func (r *Run) grant(ctx context.Context) {
 		}
 		return
 	}
-	byID := make(map[string]WorkerInfo, len(workers))
+	byID := make(map[string]fbdclient.WorkerInfo, len(workers))
 	ids := make([]string, 0, len(workers))
 	for _, w := range workers {
 		byID[w.ID] = w
@@ -578,7 +579,7 @@ func (r *Run) grant(ctx context.Context) {
 }
 
 // issueLocked creates and dispatches one lease. Caller holds r.mu.
-func (r *Run) issueLocked(ctx context.Context, w WorkerInfo, pts []sweep.PointDef, speculative bool) {
+func (r *Run) issueLocked(ctx context.Context, w fbdclient.WorkerInfo, pts []sweep.PointDef, speculative bool) {
 	c := r.c
 	c.mu.Lock()
 	c.nextLease++
@@ -587,7 +588,7 @@ func (r *Run) issueLocked(ctx context.Context, w WorkerInfo, pts []sweep.PointDe
 	lctx, cancel := context.WithCancel(ctx)
 	now := time.Now()
 	ls := &leaseState{
-		lease:        Lease{ID: id, Sweep: r.spec.Name, Fingerprint: r.fp, Tenant: r.Tenant, Points: slices.Clone(pts)},
+		lease:        fbdclient.Lease{ID: id, Sweep: r.spec.Name, Fingerprint: r.fp, Tenant: r.Tenant, Points: slices.Clone(pts)},
 		worker:       w.ID,
 		info:         w,
 		issued:       now,
@@ -747,7 +748,7 @@ func (r *Run) expireAndSpeculate(ctx context.Context) {
 	now := time.Now()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var live []WorkerInfo // fetched lazily, only if a speculation candidate appears
+	var live []fbdclient.WorkerInfo // fetched lazily, only if a speculation candidate appears
 	for _, ls := range r.outstanding {
 		if ls.expired {
 			continue
@@ -768,7 +769,7 @@ func (r *Run) expireAndSpeculate(ctx context.Context) {
 		if live == nil {
 			live = c.liveWorkers()
 		}
-		var best *WorkerInfo
+		var best *fbdclient.WorkerInfo
 		for i := range live {
 			if live[i].ID == ls.worker {
 				continue

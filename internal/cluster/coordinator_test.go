@@ -16,6 +16,7 @@ import (
 	"fbdsim/internal/sweep"
 	"fbdsim/internal/system"
 	"fbdsim/internal/workload"
+	"fbdsim/pkg/fbdclient"
 )
 
 // testSpec builds a small deterministic grid (nConfigs × nWorkloads).
@@ -56,7 +57,7 @@ func pointFor(d sweep.PointDef) sweep.Point {
 	}
 }
 
-func deliverAll(ctx context.Context, lease Lease, commit func(sweep.Point)) error {
+func deliverAll(ctx context.Context, lease fbdclient.Lease, commit func(sweep.Point)) error {
 	for _, d := range lease.Points {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -70,18 +71,18 @@ func deliverAll(ctx context.Context, lease Lease, commit func(sweep.Point)) erro
 // leased point instantly.
 type fakeExec struct {
 	mu     sync.Mutex
-	behave map[string]func(ctx context.Context, lease Lease, commit func(sweep.Point)) error
+	behave map[string]func(ctx context.Context, lease fbdclient.Lease, commit func(sweep.Point)) error
 	leases map[string]int // worker → leases dispatched
 }
 
 func newFakeExec() *fakeExec {
 	return &fakeExec{
-		behave: make(map[string]func(context.Context, Lease, func(sweep.Point)) error),
+		behave: make(map[string]func(context.Context, fbdclient.Lease, func(sweep.Point)) error),
 		leases: make(map[string]int),
 	}
 }
 
-func (f *fakeExec) set(worker string, fn func(context.Context, Lease, func(sweep.Point)) error) {
+func (f *fakeExec) set(worker string, fn func(context.Context, fbdclient.Lease, func(sweep.Point)) error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.behave[worker] = fn
@@ -93,7 +94,7 @@ func (f *fakeExec) leaseCount(worker string) int {
 	return f.leases[worker]
 }
 
-func (f *fakeExec) Execute(ctx context.Context, w WorkerInfo, lease Lease, commit func(sweep.Point)) error {
+func (f *fakeExec) Execute(ctx context.Context, w fbdclient.WorkerInfo, lease fbdclient.Lease, commit func(sweep.Point)) error {
 	f.mu.Lock()
 	f.leases[w.ID]++
 	fn := f.behave[w.ID]
@@ -200,7 +201,7 @@ func TestClusterSweepAllPointsExactlyOnce(t *testing.T) {
 // dispatch) must not double-emit: commit claims each index once.
 func TestClusterDuplicateDeliveriesDropped(t *testing.T) {
 	exec := newFakeExec()
-	dup := func(ctx context.Context, lease Lease, commit func(sweep.Point)) error {
+	dup := func(ctx context.Context, lease fbdclient.Lease, commit func(sweep.Point)) error {
 		for _, d := range lease.Points {
 			commit(pointFor(d))
 			commit(pointFor(d))
@@ -230,7 +231,7 @@ func TestClusterDuplicateDeliveriesDropped(t *testing.T) {
 // straight back.
 func TestClusterHungWorkerLeaseExpiresAndRequeues(t *testing.T) {
 	exec := newFakeExec()
-	exec.set("hung", func(ctx context.Context, lease Lease, commit func(sweep.Point)) error {
+	exec.set("hung", func(ctx context.Context, lease fbdclient.Lease, commit func(sweep.Point)) error {
 		<-ctx.Done()
 		return ctx.Err()
 	})
@@ -260,7 +261,7 @@ func TestClusterHungWorkerLeaseExpiresAndRequeues(t *testing.T) {
 func TestClusterWorkerDeathRequeues(t *testing.T) {
 	exec := newFakeExec()
 	dead := make(chan struct{})
-	exec.set("victim", func(ctx context.Context, lease Lease, commit func(sweep.Point)) error {
+	exec.set("victim", func(ctx context.Context, lease fbdclient.Lease, commit func(sweep.Point)) error {
 		// Deliver the first point, then die mid-lease.
 		if len(lease.Points) > 0 {
 			commit(pointFor(lease.Points[0]))
@@ -302,7 +303,7 @@ func TestClusterWorkerDeathRequeues(t *testing.T) {
 func TestClusterSpeculativeReissue(t *testing.T) {
 	exec := newFakeExec()
 	release := make(chan struct{})
-	exec.set("slow", func(ctx context.Context, lease Lease, commit func(sweep.Point)) error {
+	exec.set("slow", func(ctx context.Context, lease fbdclient.Lease, commit func(sweep.Point)) error {
 		select {
 		case <-release:
 		case <-ctx.Done():
@@ -345,7 +346,7 @@ func TestClusterJournalResumeExactlyOnce(t *testing.T) {
 	var committed sync.WaitGroup
 	committed.Add(2)
 	var once sync.Once
-	exec1.set("w0", func(ctx context.Context, lease Lease, commit func(sweep.Point)) error {
+	exec1.set("w0", func(ctx context.Context, lease fbdclient.Lease, commit func(sweep.Point)) error {
 		commit(pointFor(lease.Points[0]))
 		once.Do(func() { committed.Done(); committed.Done() })
 		<-ctx.Done()

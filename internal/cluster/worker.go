@@ -36,7 +36,7 @@ type HTTPExecutor struct {
 // prefix; a line without its newline (the worker died mid-record) is an
 // error, never a half-parsed point. It never retries: lease re-issue is
 // the coordinator's failure model.
-func (e *HTTPExecutor) Execute(ctx context.Context, w WorkerInfo, lease Lease, commit func(sweep.Point)) error {
+func (e *HTTPExecutor) Execute(ctx context.Context, w fbdclient.WorkerInfo, lease fbdclient.Lease, commit func(sweep.Point)) error {
 	api := &fbdclient.Client{
 		BaseURL:    w.URL,
 		APIKey:     e.ClusterKey,
@@ -137,7 +137,7 @@ func (a *Agent) Run(ctx context.Context) error {
 // join registers with the coordinator and returns the heartbeat interval
 // it demands.
 func (a *Agent) join(ctx context.Context) (time.Duration, error) {
-	jr, err := a.api().Join(ctx, JoinRequest{ID: a.ID, URL: a.URL})
+	jr, err := a.api().Join(ctx, fbdclient.JoinRequest{ID: a.ID, URL: a.URL})
 	if err != nil {
 		return 0, err
 	}

@@ -237,9 +237,12 @@ func (r *Runner) Run(cfg config.Config, benchmarks []string) (system.Results, er
 
 // RunContext is Run with cancellation. Cancelling ctx stops an in-flight
 // simulation at cycle-batch granularity (see system.RunContext). Errors —
-// including cancellation — are never cached, so a later request with the
-// same configuration re-simulates instead of replaying the error;
-// concurrent waiters coalesced onto a cancelled run observe its error.
+// including cancellation and recovered panics — are never cached, so a
+// later request with the same configuration re-simulates instead of
+// replaying the error. Concurrent callers coalesced onto one run share its
+// deterministic errors, a *sweep.PanicError included; when that run was
+// cancelled instead, a caller whose own ctx is live re-runs the simulation
+// (see sweep.Cache.Do).
 func (r *Runner) RunContext(ctx context.Context, cfg config.Config, benchmarks []string) (system.Results, error) {
 	cfg = r.normalize(cfg, len(benchmarks))
 	key := fidelity.Key(fidelity.Tier(r.opts.Fidelity), cfg, benchmarks)

@@ -1,7 +1,6 @@
 package simserver
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -13,6 +12,7 @@ import (
 	"fbdsim/internal/fidelity"
 	"fbdsim/internal/sweep"
 	"fbdsim/internal/system"
+	"fbdsim/pkg/fbdclient"
 )
 
 // This file is the cluster half of the API — both sides of it. On a
@@ -20,18 +20,19 @@ import (
 // membership and /v1/sweeps submissions are leased out to the registered
 // workers (see sweeps.go). On a worker (or any server — the handler is
 // role-agnostic), /v1/cluster/execute runs one lease's points through the
-// same single-flight result cache as jobs and local sweeps, streams them
-// back as NDJSON, and journals them locally so a worker that loses its
-// coordinator mid-lease still finishes, persists, and can answer the
-// retried lease instantly after re-registering. GET /v1/cluster reports
+// point executor of local sweeps (sweep.ExecPoint) and the result cache
+// jobs share too, streams them back as NDJSON, and journals them locally
+// so a worker that loses its coordinator mid-lease still finishes,
+// persists, and can answer the retried lease instantly after
+// re-registering. GET /v1/cluster reports
 // role, membership and the failure counters on every node.
 
 // clusterView is the GET /v1/cluster body.
 type clusterView struct {
-	Role        string               `json:"role"`
-	LiveWorkers int                  `json:"live_workers"`
-	Workers     []cluster.WorkerInfo `json:"workers,omitempty"`
-	Counters    *cluster.Counters    `json:"counters,omitempty"`
+	Role        string                 `json:"role"`
+	LiveWorkers int                    `json:"live_workers"`
+	Workers     []fbdclient.WorkerInfo `json:"workers,omitempty"`
+	Counters    *fbdclient.Counters    `json:"counters,omitempty"`
 	// LeasesExecuted / LeasePoints are this node's worker-side counters:
 	// leases accepted by /v1/cluster/execute and points answered.
 	LeasesExecuted int64 `json:"leases_executed"`
@@ -73,7 +74,7 @@ func (s *Server) handleClusterJoin(w http.ResponseWriter, r *http.Request) {
 	if co == nil {
 		return
 	}
-	var req cluster.JoinRequest
+	var req fbdclient.JoinRequest
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
@@ -92,7 +93,7 @@ func (s *Server) handleClusterHeartbeat(w http.ResponseWriter, r *http.Request) 
 	if co == nil {
 		return
 	}
-	var req cluster.HeartbeatRequest
+	var req fbdclient.HeartbeatRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, codeBadRequest, "decoding request: %v", err)
 		return
@@ -195,7 +196,7 @@ func (s *Server) closeClusterJournals() {
 // server's instruction-budget cap, and a result key that matches the
 // point's content (a coordinator/worker version or data mismatch must fail
 // the lease, not poison the cache).
-func (s *Server) validateLease(lease *cluster.Lease) error {
+func (s *Server) validateLease(lease *fbdclient.Lease) error {
 	if lease.ID == "" {
 		return errors.New("lease has no id")
 	}
@@ -233,7 +234,7 @@ func (s *Server) validateLease(lease *cluster.Lease) error {
 // instead of re-simulating. Delivered points are flushed line by line, so
 // the coordinator commits every point that made it out before a crash.
 func (s *Server) handleClusterExecute(w http.ResponseWriter, r *http.Request) {
-	var lease cluster.Lease
+	var lease fbdclient.Lease
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&lease); err != nil {
@@ -309,54 +310,25 @@ func (s *Server) handleClusterExecute(w http.ResponseWriter, r *http.Request) {
 		go func(def sweep.PointDef) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			// Lease points borrow worker slots at batch priority under the
-			// lease's tenant flow, exactly like local sweep points: leased
-			// bulk work cannot crowd out this node's interactive jobs.
-			release := s.acquireSlotFlow(s.baseCtx, tenantFlow, tenant.weight(), classBatch)
-			defer release()
-			p := s.runLeasePoint(s.baseCtx, def)
-			if p == nil {
+			// A lease point that leads its flight borrows a worker slot at
+			// batch priority under the lease's tenant flow, exactly like a
+			// local sweep point: leased bulk work cannot crowd out this
+			// node's interactive jobs, and cache hits take no slot.
+			p, _, err := sweep.ExecPoint(s.baseCtx, s.cache, def, func() (system.Results, error) {
+				release := s.leaderSlot(s.baseCtx, def.Key, tenantFlow, tenant.weight())
+				defer release()
+				if def.Fidelity != "" {
+					return s.opts.RunTier(s.baseCtx, def.Fidelity, def.Cfg, def.Benchmarks)
+				}
+				return s.opts.Run(s.baseCtx, def.Cfg, def.Benchmarks)
+			})
+			if err != nil {
 				return // shutdown cancelled the run: emit nothing, journal nothing
 			}
-			wj.record(*p)
+			wj.record(p)
 			s.metrics.LeasePoints.Inc()
-			emit(*p)
+			emit(p)
 		}(def)
 	}
 	wg.Wait()
-}
-
-// runLeasePoint executes one leased grid point through the shared
-// single-flight cache, exactly like the sweep engine's runPoint: results
-// are canonicalized so a leased point is byte-identical to a local one.
-// nil means the context was cancelled — nothing to report.
-func (s *Server) runLeasePoint(ctx context.Context, def sweep.PointDef) *sweep.Point {
-	res, _, err := s.cache.Do(ctx, def.Key, func() (system.Results, error) {
-		if def.Fidelity != "" {
-			return s.opts.RunTier(ctx, def.Fidelity, def.Cfg, def.Benchmarks)
-		}
-		return s.opts.Run(ctx, def.Cfg, def.Benchmarks)
-	})
-	p := &sweep.Point{
-		Index:    def.Index,
-		Config:   def.Config,
-		Workload: def.Workload,
-		Seed:     def.Seed,
-		Key:      def.Key,
-		Fidelity: def.Fidelity,
-	}
-	switch {
-	case err == nil:
-		canon, cerr := sweep.Canonicalize(res)
-		if cerr != nil {
-			p.Err = cerr.Error()
-			return p
-		}
-		p.Results = canon
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		return nil
-	default:
-		p.Err = err.Error()
-	}
-	return p
 }

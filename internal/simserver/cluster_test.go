@@ -17,6 +17,7 @@ import (
 	"fbdsim/internal/config"
 	"fbdsim/internal/sweep"
 	"fbdsim/internal/system"
+	"fbdsim/pkg/fbdclient"
 )
 
 // detRun is a deterministic fake simulation whose results distinguish grid
@@ -189,7 +190,7 @@ func TestClusterRoleChecks(t *testing.T) {
 
 // postLease sends one lease to /v1/cluster/execute and decodes the NDJSON
 // stream.
-func postLease(t *testing.T, ts *httptest.Server, lease cluster.Lease) (int, []sweep.Point) {
+func postLease(t *testing.T, ts *httptest.Server, lease fbdclient.Lease) (int, []sweep.Point) {
 	t.Helper()
 	body, err := json.Marshal(lease)
 	if err != nil {
@@ -220,7 +221,7 @@ func postLease(t *testing.T, ts *httptest.Server, lease cluster.Lease) (int, []s
 func TestClusterExecuteValidation(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1, Run: detRun(nil)})
 
-	status, _ := postLease(t, ts, cluster.Lease{ID: "l1"})
+	status, _ := postLease(t, ts, fbdclient.Lease{ID: "l1"})
 	if status != http.StatusBadRequest {
 		t.Errorf("empty lease = %d, want 400", status)
 	}
@@ -233,14 +234,14 @@ func TestClusterExecuteValidation(t *testing.T) {
 		Cfg: cfg, Benchmarks: []string{"swim"},
 		Key: "not-the-right-key",
 	}
-	status, _ = postLease(t, ts, cluster.Lease{ID: "l2", Sweep: "s", Points: []sweep.PointDef{def}})
+	status, _ = postLease(t, ts, fbdclient.Lease{ID: "l2", Sweep: "s", Points: []sweep.PointDef{def}})
 	if status != http.StatusBadRequest {
 		t.Errorf("key-mismatch lease = %d, want 400", status)
 	}
 
 	def.Key = sweep.Key(cfg, def.Benchmarks)
 	def.Benchmarks = []string{"no-such-benchmark"}
-	status, _ = postLease(t, ts, cluster.Lease{ID: "l3", Sweep: "s", Points: []sweep.PointDef{def}})
+	status, _ = postLease(t, ts, fbdclient.Lease{ID: "l3", Sweep: "s", Points: []sweep.PointDef{def}})
 	if status != http.StatusBadRequest {
 		t.Errorf("unknown-benchmark lease = %d, want 400", status)
 	}
@@ -254,8 +255,8 @@ func TestClusterExecuteJournalReplay(t *testing.T) {
 	cfg := config.Default()
 	cfg.MaxInsts = 10000
 	cfg.CPU.Cores = 1
-	mkLease := func() cluster.Lease {
-		lease := cluster.Lease{ID: "l1", Sweep: "replay", Fingerprint: "fp-replay-test"}
+	mkLease := func() fbdclient.Lease {
+		lease := fbdclient.Lease{ID: "l1", Sweep: "replay", Fingerprint: "fp-replay-test"}
 		for i, seed := range []int64{1, 2, 3} {
 			c := cfg
 			c.Seed = seed

@@ -20,9 +20,9 @@ type Metrics struct {
 	Failed    *stats.Counter // jobs that errored
 	Paused    *stats.Counter // jobs checkpointed and stopped via pause
 	Rejected  *stats.Counter // submissions refused with 429 (queue full)
-	Panics    *stats.Counter // simulation panics recovered by the worker pool
+	Panics    *stats.Counter // simulation panics recovered by Cache.Do, any door
 	Retries   *stats.Counter // transient-failure job retries performed
-	SimCycles *stats.Counter // simulated CPU cycles across completed jobs
+	SimCycles *stats.Counter // simulated CPU cycles of completed jobs that led their run
 
 	// Result cache.
 	CacheHits   *stats.Counter // served from cache or coalesced onto a run
@@ -47,10 +47,6 @@ type Metrics struct {
 	// multi-tenant mode is on; nil-safe to index when it is off.
 	tenantAccepted map[string]*stats.Counter // admitted submissions per tenant
 	tenantRejected map[string]*stats.Counter // 429s (rate or quota) per tenant
-
-	// Per-job wall time of completed simulations.
-	wallMu sync.Mutex
-	wall   stats.Summary
 
 	// Full wall-time distributions: queueWait is submission→start for every
 	// job that reached a worker; runDur is the start→terminal wall time of
@@ -90,9 +86,6 @@ func newMetrics() *Metrics {
 		tenantAccepted: make(map[string]*stats.Counter),
 		tenantRejected: make(map[string]*stats.Counter),
 	}
-	reg.Func("job_wall_ms_count", func() any { i, _, _ := m.wallSnapshot(); return i })
-	reg.Func("job_wall_ms_mean", func() any { _, mean, _ := m.wallSnapshot(); return mean })
-	reg.Func("job_wall_ms_max", func() any { _, _, max := m.wallSnapshot(); return max })
 	reg.Func("job_queue_wait_seconds", func() any {
 		m.histMu.Lock()
 		defer m.histMu.Unlock()
@@ -131,19 +124,6 @@ func (m *Metrics) ObserveRunDuration(d time.Duration) {
 	m.histMu.Lock()
 	m.runDur.Observe(durationTime(d))
 	m.histMu.Unlock()
-}
-
-// ObserveWall records one completed job's wall time.
-func (m *Metrics) ObserveWall(d time.Duration) {
-	m.wallMu.Lock()
-	m.wall.Observe(float64(d) / float64(time.Millisecond))
-	m.wallMu.Unlock()
-}
-
-func (m *Metrics) wallSnapshot() (count int64, mean, max float64) {
-	m.wallMu.Lock()
-	defer m.wallMu.Unlock()
-	return m.wall.Count(), m.wall.Mean(), m.wall.Max()
 }
 
 // Registry exposes the underlying registry so the server can attach

@@ -282,23 +282,14 @@ func (sc *scheduler) queuedTotal() int {
 	return n
 }
 
-// acquireSlot borrows a worker slot for out-of-band work (a sweep point, a
-// cluster lease point), blocking until the fair-share arbiter grants it.
-// The returned release must be called when the work ends. Slots are
-// granted ungated when the scheduler is closed (shutdown drain) or when
+// acquireSlotFlow borrows a worker slot for out-of-band work (a sweep point,
+// a cluster lease point) under a flow name, blocking until the fair-share
+// arbiter grants it. Lease execution on a worker schedules under the tenant
+// name the lease carries even when that tenant is not in the worker's own
+// keyfile. The returned release must be called when the work ends. Slots
+// are granted ungated when the scheduler is closed (shutdown drain) or when
 // ctx is cancelled mid-wait (the caller's work will fail fast anyway and
 // must not deadlock against exiting workers).
-func (s *Server) acquireSlot(ctx context.Context, tenant *Tenant, class int) (release func()) {
-	name := defaultTenant
-	if tenant != nil {
-		name = tenant.Name
-	}
-	return s.acquireSlotFlow(ctx, name, tenant.weight(), class)
-}
-
-// acquireSlotFlow is acquireSlot for a raw flow name — lease execution on
-// a worker schedules under the tenant name carried by the lease even when
-// that tenant is not in the worker's own keyfile.
 func (s *Server) acquireSlotFlow(ctx context.Context, name string, weight, class int) (release func()) {
 	tk := &ticket{grant: make(chan struct{}), done: make(chan struct{})}
 	if err := s.sched.enqueueTicket(tk, class, name, weight); err != nil {
@@ -331,4 +322,54 @@ func (s *Server) serveTicket(tk *ticket) {
 	s.busy.Add(1)
 	<-tk.done
 	s.busy.Add(-1)
+}
+
+// lend marks a job's worker as parked in Cache.Do on key until the
+// returned idempotent stop. Sweep and lease points take their worker slot
+// inside their flight (leaderSlot), so a job parked behind such a leader
+// would otherwise hold the very worker the leader waits for. While the loan
+// lasts, leaders of key run on it instead of waiting (DESIGN §10).
+func (s *Server) lend(key string) (stop func()) {
+	s.loanMu.Lock()
+	s.lenders[key]++
+	for cancel := range s.borrowers[key] {
+		(*cancel)()
+	}
+	delete(s.borrowers, key)
+	s.loanMu.Unlock()
+	var once sync.Once
+	return func() {
+		once.Do(func() {
+			s.loanMu.Lock()
+			if s.lenders[key]--; s.lenders[key] == 0 {
+				delete(s.lenders, key)
+			}
+			s.loanMu.Unlock()
+		})
+	}
+}
+
+// leaderSlot is acquireSlotFlow at batch priority for the leader of key's
+// flight, except that a job lending its worker on key (see lend) ends the
+// wait at once: the leader then runs on the loan, slotless.
+func (s *Server) leaderSlot(ctx context.Context, key, flow string, weight int) (release func()) {
+	s.loanMu.Lock()
+	if s.lenders[key] > 0 {
+		s.loanMu.Unlock()
+		return func() {}
+	}
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	if s.borrowers[key] == nil {
+		s.borrowers[key] = make(map[*context.CancelFunc]bool)
+	}
+	s.borrowers[key][&cancel] = true
+	s.loanMu.Unlock()
+	release = s.acquireSlotFlow(ctx, flow, weight, classBatch)
+	s.loanMu.Lock()
+	if delete(s.borrowers[key], &cancel); len(s.borrowers[key]) == 0 {
+		delete(s.borrowers, key)
+	}
+	s.loanMu.Unlock()
+	return release
 }

@@ -42,11 +42,14 @@
 // HTTP 429 and a Retry-After header. Shutdown stops intake immediately,
 // drains in-flight jobs for a grace period, then cancels survivors.
 //
-// Resilience: a panic inside a simulation run is recovered by the worker —
-// the job fails with the panic message, the pool survives. Jobs submitted
-// with "retries": N re-run transient failures up to N times (capped by the
-// server) with exponential backoff; panics, cancellations and deadline
-// expiries are never retried.
+// Resilience: every simulation — a job, a local sweep point, a leased
+// cluster point — runs as the fn of the shared sweep.Cache.Do, which is the
+// one fault boundary. A panic there fails that job or point with
+// "simulation panicked: …", is counted once in job_panics, and leaves the
+// worker pool and the server up; a follower sharing the flight gets the
+// same error. Jobs submitted with "retries": N re-run transient failures up
+// to N times (capped by the server) with exponential backoff; panics,
+// cancellations and deadline expiries are never retried.
 package simserver
 
 import (
@@ -376,14 +379,6 @@ func (j *job) coalesceKey() string {
 	return coalesceKey(j.tenant, j.key)
 }
 
-// releaseQuota returns the job's admission unit to its tenant; safe to
-// call for open-access jobs.
-func (j *job) releaseQuota() {
-	if j.tenant != nil {
-		j.tenant.release()
-	}
-}
-
 // Server is the simulation service: scheduler, worker pool, cache, metrics.
 type Server struct {
 	opts    Options
@@ -426,6 +421,13 @@ type Server struct {
 	nextID          int64
 	nextSweepID     int64
 
+	// Slot loans (see lend): per key, the jobs parked in Cache.Do behind
+	// another door's flight, and the cancels of flight leaders waiting for
+	// a worker slot.
+	loanMu    sync.Mutex
+	lenders   map[string]int
+	borrowers map[string]map[*context.CancelFunc]bool
+
 	busy     atomic.Int64
 	workerWG sync.WaitGroup
 	sweepWG  sync.WaitGroup
@@ -456,6 +458,12 @@ func New(opts Options) *Server {
 		byKey:           make(map[string]*job),
 		sweeps:          make(map[string]*sweepJob),
 		clusterJournals: make(map[string]*workerJournal),
+		lenders:         make(map[string]int),
+		borrowers:       make(map[string]map[*context.CancelFunc]bool),
+	}
+	s.cache.OnPanic = func(key string, err *sweep.PanicError) {
+		s.metrics.Panics.Inc()
+		s.log.Error("simulation panicked", "key", key, "panic", fmt.Sprint(err.Value))
 	}
 	reg := s.metrics.Registry()
 	reg.Func("queue_depth", func() any { _, slow := s.sched.depths(); return slow })
@@ -489,11 +497,11 @@ func New(opts Options) *Server {
 	}
 	for i := 0; i < o.Workers; i++ {
 		s.workerWG.Add(1)
-		go s.worker()
+		go s.worker(classBatch)
 	}
 	for i := 0; i < o.FastWorkers; i++ {
 		s.workerWG.Add(1)
-		go s.fastWorker()
+		go s.worker(classAnalytic)
 	}
 	return s
 }
@@ -501,14 +509,16 @@ func New(opts Options) *Server {
 // Metrics exposes the server's counters (tests, embedding binaries).
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
-// worker pulls from every scheduler class in strict priority order until
-// the scheduler is closed and drained by Shutdown. An idle general worker
-// therefore helps the analytic class first, then sampled, cycle-accurate
-// and finally batch slot tickets.
-func (s *Server) worker() {
+// worker serves scheduler classes 0..lowest in strict priority order until
+// the scheduler is closed and drained by Shutdown. General workers pass
+// classBatch: an idle one helps the analytic class first, then sampled,
+// cycle-accurate and finally batch slot tickets. The fast pool passes
+// classAnalytic, so estimates keep their sub-second latency even when every
+// general worker is deep in a cycle-accurate run or parked on a sweep slot.
+func (s *Server) worker(lowest int) {
 	defer s.workerWG.Done()
 	for {
-		it, ok := s.sched.next(classBatch)
+		it, ok := s.sched.next(lowest)
 		if !ok {
 			return
 		}
@@ -519,65 +529,22 @@ func (s *Server) worker() {
 		}
 	}
 }
-
-// fastWorker serves only the analytic class, so estimates keep their
-// sub-second latency even when every general worker is deep in a
-// cycle-accurate run or parked on a sweep slot.
-func (s *Server) fastWorker() {
-	defer s.workerWG.Done()
-	for {
-		it, ok := s.sched.next(classAnalytic)
-		if !ok {
-			return
-		}
-		if it.j != nil {
-			s.runJob(it.j)
-		} else {
-			s.serveTicket(it.tk)
-		}
-	}
-}
-
-// panicError marks a job failure caused by a recovered simulation panic.
-// Panics are deterministic model bugs, never retried.
-type panicError struct{ msg string }
-
-func (e *panicError) Error() string { return e.msg }
 
 // retryable reports whether a failed attempt may be retried: cancellation,
 // deadline expiry, panics and pauses are final; other errors are treated as
 // transient when the job asked for retries.
 func retryable(err error) bool {
-	var pe *panicError
-	if errors.As(err, &pe) {
-		return false
-	}
-	return !errors.Is(err, context.Canceled) &&
+	var pe *sweep.PanicError
+	return !errors.As(err, &pe) &&
+		!errors.Is(err, context.Canceled) &&
 		!errors.Is(err, context.DeadlineExceeded) &&
 		!errors.Is(err, system.ErrPaused)
 }
 
-// runSim executes one simulation attempt, converting a panic in the
-// simulation into an error so a crashing run fails its job instead of
-// killing the worker (and with it the whole server).
-func (s *Server) runSim(ctx context.Context, j *job) (res system.Results, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.metrics.Panics.Inc()
-			res, err = system.Results{}, &panicError{msg: fmt.Sprintf("simulation panicked: %v", r)}
-		}
-	}()
-	j.mu.Lock()
-	j.attempts++
-	j.mu.Unlock()
-	if j.fidelity != "" {
-		return s.opts.RunTier(ctx, j.fidelity, j.cfg, j.benchmarks)
-	}
-	return s.opts.Run(ctx, j.cfg, j.benchmarks)
-}
-
-// runJob executes one job — retrying transient failures up to the job's
-// requested budget — and records its outcome.
+// runJob executes one job through the shared single-flight cache and
+// records its outcome. The job leads a flight (see simulate) or follows an
+// identical one already running for another job, sweep point or lease
+// point; a follower runs no simulation of its own, and so cannot be paused.
 func (s *Server) runJob(j *job) {
 	if !j.tryStart() {
 		// Cancelled while queued; cancelJob already finished it.
@@ -588,12 +555,60 @@ func (s *Server) runJob(j *job) {
 	s.busy.Add(1)
 	defer s.busy.Add(-1)
 
+	// The deadline bounds the job whichever role it takes: a leader's run
+	// and a follower's wait alike.
 	ctx := j.ctx
 	if s.opts.JobTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.opts.JobTimeout)
 		defer cancel()
 	}
+	start := time.Now()
+	stopLending := s.lend(j.key)
+	res, hit, err := s.cache.Do(ctx, j.key, func() (system.Results, error) {
+		stopLending() // leading: this worker runs the simulation itself
+		return s.simulate(ctx, j)
+	})
+	stopLending()
+	wall := time.Since(start)
+
+	s.mu.Lock()
+	if s.byKey[j.coalesceKey()] == j {
+		delete(s.byKey, j.coalesceKey())
+	}
+	s.mu.Unlock()
+	defer j.tenant.release()
+
+	s.metrics.ObserveRunDuration(wall)
+
+	switch {
+	case err == nil:
+		if !hit {
+			s.metrics.SimCycles.Add(res.Cycles)
+		}
+		s.metrics.Completed.Inc()
+		j.finish(StateDone, res, "")
+	case errors.Is(err, system.ErrPaused):
+		s.metrics.Paused.Inc()
+		j.finish(StatePaused, system.Results{}, "")
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		s.metrics.Cancelled.Inc()
+		j.finish(StateCancelled, system.Results{}, err.Error())
+	default:
+		s.metrics.Failed.Inc()
+		j.finish(StateFailed, system.Results{}, err.Error())
+	}
+	j.mu.Lock()
+	state, attempts := j.state, j.attempts
+	j.mu.Unlock()
+	s.log.Info("job finished",
+		"job_id", j.id, "state", string(state),
+		"wall_ms", float64(wall)/float64(time.Millisecond), "attempts", attempts)
+}
+
+// simulate is the flight a job leads: its simulation, retrying transient
+// failures up to the job's requested budget.
+func (s *Server) simulate(ctx context.Context, j *job) (system.Results, error) {
 	// Estimate-tier jobs skip the cycle-accurate context plumbing: the
 	// sampled tier drives the machine through its own stepping API (an
 	// armed checkpoint spec would corrupt its window surgery) and the
@@ -624,56 +639,27 @@ func (s *Server) runJob(j *job) {
 			ctx = system.WithEpochSink(ctx, telemetry.NewJobSink(j.stream))
 		}
 	}
-	start := time.Now()
-	var (
-		res system.Results
-		err error
-	)
 	for attempt := 1; ; attempt++ {
-		res, err = s.runSim(ctx, j)
+		j.mu.Lock()
+		j.attempts++
+		j.mu.Unlock()
+		var (
+			res system.Results
+			err error
+		)
+		if j.fidelity != "" {
+			res, err = s.opts.RunTier(ctx, j.fidelity, j.cfg, j.benchmarks)
+		} else {
+			res, err = s.opts.Run(ctx, j.cfg, j.benchmarks)
+		}
 		if err == nil || attempt > j.retries || !retryable(err) {
-			break
+			return res, err
 		}
 		s.metrics.Retries.Inc()
 		if s.retryPol.Sleep(ctx, attempt) != nil {
-			err = ctx.Err()
-			break
+			return system.Results{}, ctx.Err()
 		}
 	}
-	wall := time.Since(start)
-
-	s.mu.Lock()
-	if s.byKey[j.coalesceKey()] == j {
-		delete(s.byKey, j.coalesceKey())
-	}
-	s.mu.Unlock()
-	defer j.releaseQuota()
-
-	s.metrics.ObserveRunDuration(wall)
-
-	switch {
-	case err == nil:
-		s.cache.Put(j.key, res)
-		s.metrics.ObserveWall(wall)
-		s.metrics.SimCycles.Add(res.Cycles)
-		s.metrics.Completed.Inc()
-		j.finish(StateDone, res, "")
-	case errors.Is(err, system.ErrPaused):
-		s.metrics.Paused.Inc()
-		j.finish(StatePaused, system.Results{}, "")
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		s.metrics.Cancelled.Inc()
-		j.finish(StateCancelled, system.Results{}, err.Error())
-	default:
-		s.metrics.Failed.Inc()
-		j.finish(StateFailed, system.Results{}, err.Error())
-	}
-	j.mu.Lock()
-	state, attempts := j.state, j.attempts
-	j.mu.Unlock()
-	s.log.Info("job finished",
-		"job_id", j.id, "state", string(state),
-		"wall_ms", float64(wall)/float64(time.Millisecond), "attempts", attempts)
 }
 
 // Shutdown stops intake, then waits for queued and running jobs to drain.
@@ -1070,9 +1056,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, key string, cfg c
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		if tenant != nil {
-			tenant.release()
-		}
+		tenant.release()
 		writeError(w, http.StatusServiceUnavailable, codeShuttingDown, "server is shutting down")
 		return
 	}
@@ -1090,9 +1074,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, key string, cfg c
 		s.metrics.CacheHits.Inc()
 		s.countAccepted(tenant)
 		s.mu.Unlock()
-		if tenant != nil {
-			tenant.release()
-		}
+		tenant.release()
 		v := j.snapshotView(true)
 		v.Cached = true
 		writeJSON(w, http.StatusOK, v)
@@ -1105,9 +1087,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, key string, cfg c
 		s.metrics.CacheHits.Inc()
 		s.countAccepted(tenant)
 		s.mu.Unlock()
-		if tenant != nil {
-			tenant.release()
-		}
+		tenant.release()
 		v := existing.snapshotView(false)
 		v.Coalesced = true
 		writeJSON(w, http.StatusAccepted, v)
@@ -1128,9 +1108,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, key string, cfg c
 		j.cancel()
 		s.metrics.Rejected.Inc()
 		s.mu.Unlock()
-		if tenant != nil {
-			tenant.release()
-		}
+		tenant.release()
 		w.Header().Set("Retry-After", strconv.Itoa(int(s.opts.RetryAfter.Seconds()+0.5)))
 		writeError(w, http.StatusTooManyRequests, codeQueueFull, "job queue full (depth %d); retry later", s.opts.QueueDepth)
 		return
@@ -1273,7 +1251,7 @@ func (s *Server) cancelJob(j *job) {
 		}
 		s.mu.Unlock()
 		s.metrics.Cancelled.Inc()
-		j.releaseQuota()
+		j.tenant.release()
 		j.cancel()
 		return
 	}

@@ -431,8 +431,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"jobs_accepted", "jobs_completed", "jobs_cancelled", "jobs_failed",
 		"jobs_rejected", "cache_hits", "cache_misses", "queue_depth",
 		"workers", "workers_busy", "cache_entries",
-		"job_wall_ms_count", "job_wall_ms_mean", "job_wall_ms_max",
-		"sim_cycles_total",
+		"job_run_seconds", "sim_cycles_total",
 	} {
 		if _, ok := m[key]; !ok {
 			t.Errorf("metrics missing %q", key)
@@ -441,8 +440,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	if m["jobs_completed"].(float64) != 1 {
 		t.Errorf("jobs_completed = %v, want 1", m["jobs_completed"])
 	}
-	if m["job_wall_ms_count"].(float64) != 1 {
-		t.Errorf("job_wall_ms_count = %v, want 1", m["job_wall_ms_count"])
+	if run, _ := m["job_run_seconds"].(map[string]any); run["n"] != float64(1) {
+		t.Errorf("job_run_seconds = %v, want one observation", m["job_run_seconds"])
 	}
 }
 

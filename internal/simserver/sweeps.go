@@ -13,6 +13,7 @@ import (
 
 	"fbdsim/internal/cluster"
 	"fbdsim/internal/config"
+	"fbdsim/internal/fidelity"
 	"fbdsim/internal/sweep"
 	"fbdsim/internal/system"
 	"fbdsim/internal/telemetry"
@@ -195,9 +196,7 @@ func (sj *sweepJob) finish(state State, errMsg string) {
 		if sj.stream != nil {
 			sj.stream.Close(string(state))
 		}
-		if sj.tenantRef != nil {
-			sj.tenantRef.release()
-		}
+		sj.tenantRef.release()
 	}
 }
 
@@ -299,28 +298,31 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 		s.submitClusterSweep(w, spec, tenant)
 		return
 	}
-	// Every grid point borrows a worker slot through the fair-share
-	// scheduler at batch priority before simulating, so a 10k-point sweep
-	// shares the same arbiter as interactive jobs instead of
-	// oversubscribing the host from its private pool. Cache hits inside
-	// the engine's single-flight never reach these wrappers.
+	// Every grid point that leads its flight borrows a worker slot through
+	// the fair-share scheduler at batch priority before simulating, so a
+	// 10k-point sweep shares the same arbiter as interactive jobs instead
+	// of oversubscribing the host from its private pool. Cache hits and
+	// coalesced points inside the engine's single-flight never reach these
+	// wrappers.
+	flow := defaultTenant
+	if tenant != nil {
+		flow = tenant.Name
+	}
 	eng, err := sweep.New(spec, sweep.Options{
 		Run: func(ctx context.Context, cfg config.Config, benchmarks []string) (system.Results, error) {
-			release := s.acquireSlot(ctx, tenant, classBatch)
+			release := s.leaderSlot(ctx, sweep.Key(cfg, benchmarks), flow, tenant.weight())
 			defer release()
 			return s.opts.Run(ctx, cfg, benchmarks)
 		},
 		RunTier: func(ctx context.Context, tier string, cfg config.Config, benchmarks []string) (system.Results, error) {
-			release := s.acquireSlot(ctx, tenant, classBatch)
+			release := s.leaderSlot(ctx, fidelity.Key(fidelity.Tier(tier), cfg, benchmarks), flow, tenant.weight())
 			defer release()
 			return s.opts.RunTier(ctx, tier, cfg, benchmarks)
 		},
 		Cache: s.cache,
 	})
 	if err != nil {
-		if tenant != nil {
-			tenant.release()
-		}
+		tenant.release()
 		writeError(w, http.StatusBadRequest, codeBadRequest, "%v", err)
 		return
 	}
@@ -328,9 +330,7 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		if tenant != nil {
-			tenant.release()
-		}
+		tenant.release()
 		writeError(w, http.StatusServiceUnavailable, codeShuttingDown, "server is shutting down")
 		return
 	}
@@ -339,9 +339,7 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		s.mu.Unlock()
 		cancel()
-		if tenant != nil {
-			tenant.release()
-		}
+		tenant.release()
 		writeError(w, http.StatusInternalServerError, codeInternal, "starting sweep: %v", err)
 		return
 	}
@@ -372,9 +370,7 @@ func (s *Server) submitClusterSweep(w http.ResponseWriter, spec sweep.Spec, tena
 	}
 	run, err := s.opts.Coordinator.NewRun(spec)
 	if err != nil {
-		if tenant != nil {
-			tenant.release()
-		}
+		tenant.release()
 		writeError(w, http.StatusBadRequest, codeBadRequest, "%v", err)
 		return
 	}
@@ -387,9 +383,7 @@ func (s *Server) submitClusterSweep(w http.ResponseWriter, spec sweep.Spec, tena
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		if tenant != nil {
-			tenant.release()
-		}
+		tenant.release()
 		writeError(w, http.StatusServiceUnavailable, codeShuttingDown, "server is shutting down")
 		return
 	}
@@ -416,18 +410,7 @@ func (s *Server) submitClusterSweep(w http.ResponseWriter, spec sweep.Spec, tena
 // consumers consistent.
 func (s *Server) driveClusterSweep(sj *sweepJob, ctx context.Context, run *cluster.Run) {
 	defer s.sweepWG.Done()
-	err := run.Execute(ctx, func(p sweep.Point) {
-		sj.mu.Lock()
-		sj.points = append(sj.points, p)
-		sj.cond.Broadcast()
-		sj.mu.Unlock()
-		s.metrics.SweepPoints.Inc()
-		if sj.stream != nil {
-			if data, merr := json.Marshal(p); merr == nil {
-				sj.stream.PublishPoint(data)
-			}
-		}
-	})
+	err := run.Execute(ctx, func(p sweep.Point) { s.addPoint(sj, p) })
 	switch {
 	case err == nil:
 		s.metrics.SweepsCompleted.Inc()
@@ -446,25 +429,30 @@ func (s *Server) driveClusterSweep(sj *sweepJob, ctx context.Context, run *clust
 		"points", v.Points, "error", v.Error)
 }
 
+// addPoint appends one emitted point to the sweep record, waking pollers
+// and ?follow=1 tails, and publishes it to SSE followers in the same JSON
+// rendering the NDJSON results endpoint streams.
+func (s *Server) addPoint(sj *sweepJob, p sweep.Point) {
+	sj.mu.Lock()
+	sj.points = append(sj.points, p)
+	sj.cond.Broadcast()
+	sj.mu.Unlock()
+	s.metrics.SweepPoints.Inc()
+	if sj.stream != nil {
+		if data, err := json.Marshal(p); err == nil {
+			sj.stream.PublishPoint(data)
+		}
+	}
+}
+
 // drainSweep accumulates the engine's point stream into the sweep record
 // and settles its terminal state once the stream closes.
 func (s *Server) drainSweep(sj *sweepJob, ctx context.Context, ch <-chan sweep.Point) {
 	defer s.sweepWG.Done()
 	emitted := 0
 	for p := range ch {
-		sj.mu.Lock()
-		sj.points = append(sj.points, p)
-		sj.cond.Broadcast()
-		sj.mu.Unlock()
+		s.addPoint(sj, p)
 		emitted++
-		s.metrics.SweepPoints.Inc()
-		if sj.stream != nil {
-			// Same JSON rendering the NDJSON results endpoint streams, so
-			// SSE followers and ?follow=1 tails see identical documents.
-			if data, err := json.Marshal(p); err == nil {
-				sj.stream.PublishPoint(data)
-			}
-		}
 	}
 	// The engine emits one point per grid slot (failed points carry Err);
 	// anything short means cancellation stopped dispatch.

@@ -73,8 +73,12 @@ func (t *Tenant) admitOne(now time.Time) admitVerdict {
 }
 
 // release returns one admission unit (job or sweep reaching a terminal
-// state) to the tenant's concurrency quota.
+// state) to the tenant's concurrency quota; a nil tenant (open access) has
+// none to return.
 func (t *Tenant) release() {
+	if t == nil {
+		return
+	}
 	t.mu.Lock()
 	if t.active > 0 {
 		t.active--

@@ -3,6 +3,9 @@ package sweep
 import (
 	"context"
 	"errors"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"fbdsim/internal/config"
@@ -120,5 +123,156 @@ func TestCacheDoWaiterContextCancel(t *testing.T) {
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// doneProbe is a context that reports when Do first selects on it: Do
+// reads ctx.Done only while following a flight, so a closed entered means
+// the caller is parked behind the leader.
+type doneProbe struct {
+	context.Context
+	once    sync.Once
+	entered chan struct{}
+}
+
+func newDoneProbe(ctx context.Context) *doneProbe {
+	return &doneProbe{Context: ctx, entered: make(chan struct{})}
+}
+
+func (p *doneProbe) Done() <-chan struct{} {
+	p.once.Do(func() { close(p.entered) })
+	return p.Context.Done()
+}
+
+// TestCacheDoPanicIsOneFaultBoundary: a panicking fn fails its leader with
+// *PanicError, a follower parked on the flight gets the very same error,
+// OnPanic fires once, nothing is cached, and the next Do re-runs fn.
+func TestCacheDoPanicIsOneFaultBoundary(t *testing.T) {
+	c := NewCache(0)
+	var hooks atomic.Int64
+	c.OnPanic = func(key string, err *PanicError) {
+		if key != "k" || err.Value != "model bug" {
+			t.Errorf("OnPanic(%q, %v)", key, err)
+		}
+		hooks.Add(1)
+	}
+	started, release := make(chan struct{}), make(chan struct{})
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, hit, err := c.Do(context.Background(), "k", func() (system.Results, error) {
+			close(started)
+			<-release
+			panic("model bug")
+		})
+		if hit {
+			t.Error("leader reported a hit")
+		}
+		leaderErr <- err
+	}()
+	<-started
+	probe := newDoneProbe(context.Background())
+	followerErr := make(chan error, 1)
+	go func() {
+		_, hit, err := c.Do(probe, "k", func() (system.Results, error) {
+			t.Error("follower ran its own fn")
+			return system.Results{}, nil
+		})
+		if !hit {
+			t.Error("follower not reported as hit")
+		}
+		followerErr <- err
+	}()
+	<-probe.entered
+	close(release)
+
+	lerr, ferr := <-leaderErr, <-followerErr
+	var pe *PanicError
+	if !errors.As(lerr, &pe) || !strings.Contains(lerr.Error(), "simulation panicked: model bug") {
+		t.Fatalf("leader err = %v, want *PanicError", lerr)
+	}
+	if ferr != lerr {
+		t.Errorf("follower err = %v, want the leader's %v", ferr, lerr)
+	}
+	if n := hooks.Load(); n != 1 {
+		t.Errorf("OnPanic fired %d times, want 1", n)
+	}
+	res, hit, err := c.Do(context.Background(), "k", func() (system.Results, error) {
+		return system.Results{Cores: 4}, nil
+	})
+	if err != nil || hit || res.Cores != 4 {
+		t.Fatalf("after panic: res=%+v hit=%v err=%v, want a fresh run", res, hit, err)
+	}
+}
+
+// TestCacheDoFollowerOutlivesCancelledLeader: cancellation belongs to the
+// leader's context, not to the key. A follower whose own context is live
+// re-enters Do, leads a new flight and succeeds.
+func TestCacheDoFollowerOutlivesCancelledLeader(t *testing.T) {
+	c := NewCache(0)
+	leaderCtx, cancelLeader := context.WithCancel(context.Background())
+	started := make(chan struct{})
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, _, err := c.Do(leaderCtx, "k", func() (system.Results, error) {
+			close(started)
+			<-leaderCtx.Done()
+			return system.Results{}, leaderCtx.Err()
+		})
+		leaderErr <- err
+	}()
+	<-started
+	probe := newDoneProbe(context.Background())
+	type outcome struct {
+		res system.Results
+		hit bool
+		err error
+	}
+	follower := make(chan outcome, 1)
+	var calls atomic.Int64
+	go func() {
+		res, hit, err := c.Do(probe, "k", func() (system.Results, error) {
+			calls.Add(1)
+			return system.Results{Cores: 7}, nil
+		})
+		follower <- outcome{res, hit, err}
+	}()
+	<-probe.entered
+	cancelLeader()
+
+	if err := <-leaderErr; !errors.Is(err, context.Canceled) {
+		t.Errorf("leader err = %v, want context.Canceled", err)
+	}
+	got := <-follower
+	if got.err != nil || got.hit || got.res.Cores != 7 {
+		t.Fatalf("follower: res=%+v hit=%v err=%v, want its own successful run", got.res, got.hit, got.err)
+	}
+	if n := calls.Load(); n != 1 {
+		t.Errorf("follower fn ran %d times, want 1", n)
+	}
+	if res, ok := c.Get("k"); !ok || res.Cores != 7 {
+		t.Error("the follower's result was not cached")
+	}
+}
+
+// TestCacheDoCancelledFollowerDoesNotLoop: a follower whose own context is
+// already cancelled returns ctx.Err() at once, even when the flight it
+// finds ended with an inherited error. White-box: the finished flight
+// stays planted, so a follower that looped would spin forever.
+func TestCacheDoCancelledFollowerDoesNotLoop(t *testing.T) {
+	for _, inheritedErr := range []error{context.Canceled, context.DeadlineExceeded, system.ErrPaused} {
+		c := NewCache(0)
+		f := &flight{done: make(chan struct{}), err: inheritedErr}
+		close(f.done)
+		c.flight["k"] = f
+
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		_, hit, err := c.Do(ctx, "k", func() (system.Results, error) {
+			t.Error("cancelled follower ran fn")
+			return system.Results{}, nil
+		})
+		if hit || !errors.Is(err, context.Canceled) {
+			t.Errorf("leader error %v: follower got hit=%v err=%v, want its own context.Canceled", inheritedErr, hit, err)
+		}
 	}
 }

@@ -468,13 +468,44 @@ func (e *Engine) Start(ctx context.Context) (<-chan Point, error) {
 	return out, nil
 }
 
-// runPoint executes one shard: single-flight cached simulation,
-// canonicalization, journaling, emission.
+// runPoint executes one shard and does the engine's bookkeeping around it:
+// counters, journaling, emission.
 func (e *Engine) runPoint(ctx context.Context, def PointDef, j *Journal, out chan<- Point) {
-	res, hit, err := e.cache.Do(ctx, def.Key, func() (system.Results, error) {
+	p, hit, err := ExecPoint(ctx, e.cache, def, func() (system.Results, error) {
 		return e.runShard(ctx, def)
 	})
-	p := Point{
+	switch {
+	case err != nil:
+		// Shutdown, not a point failure: emit nothing, journal nothing;
+		// a resumed sweep re-runs the point.
+		return
+	case p.Err != "":
+		e.failed.Add(1)
+	default:
+		if hit {
+			e.cacheHits.Add(1)
+		}
+		if j != nil {
+			j.Append(p)
+		}
+		e.completed.Add(1)
+	}
+	out <- p
+}
+
+// ExecPoint executes one grid point through cache and returns it as a
+// canonical Point: the one point executor behind local sweeps and cluster
+// lease execution, so a leased point is byte-identical to a local one. run
+// computes the results on a miss; Do calls it only when this call leads the
+// key's flight. hit reports a cache hit or a coalesced run.
+//
+// A non-nil err means the point was abandoned — ctx ended, or the run was
+// cancelled or timed out — and there is nothing to emit or journal. Every
+// other failure, a recovered panic included, is reported in the Point's
+// Err with a nil err.
+func ExecPoint(ctx context.Context, cache *Cache, def PointDef, run func() (system.Results, error)) (p Point, hit bool, err error) {
+	res, hit, err := cache.Do(ctx, def.Key, run)
+	p = Point{
 		Index:    def.Index,
 		Config:   def.Config,
 		Workload: def.Workload,
@@ -483,31 +514,16 @@ func (e *Engine) runPoint(ctx context.Context, def PointDef, j *Journal, out cha
 		Fidelity: def.Fidelity,
 	}
 	switch {
-	case err == nil:
-		canon, cerr := Canonicalize(res)
-		if cerr != nil {
-			e.failed.Add(1)
-			p.Err = cerr.Error()
-			out <- p
-			return
-		}
-		p.Results = canon
-		if hit {
-			e.cacheHits.Add(1)
-		}
-		if j != nil {
-			j.Append(p)
-		}
-		e.completed.Add(1)
-		out <- p
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		// Shutdown, not a point failure: emit nothing, journal nothing;
-		// a resumed sweep re-runs the point.
-	default:
-		e.failed.Add(1)
+		return p, hit, err
+	case err != nil:
 		p.Err = err.Error()
-		out <- p
+	default:
+		if p.Results, err = Canonicalize(res); err != nil {
+			p.Err = err.Error()
+		}
 	}
+	return p, hit, nil
 }
 
 // Run expands and executes spec with default options, returning the point
