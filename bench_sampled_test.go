@@ -12,7 +12,7 @@ package fbdsim
 //
 // Regenerate the committed file with:
 //
-//	go test -run '^$' -bench BenchmarkSampledFidelity -benchtime 1x . | go run ./cmd/benchjson > BENCH_sampled.json
+//	go test -run '^$' -bench BenchmarkSampledFidelity -benchtime 1x -cpu 1 . | go run ./cmd/benchjson > BENCH_sampled.json
 
 import (
 	"context"

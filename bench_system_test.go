@@ -4,7 +4,9 @@ package fbdsim
 // opposed to the figure-reproduction benchmarks in bench_test.go. These are
 // the benchmarks behind BENCH_baseline.json and the CI bench step: they run
 // even under -short (small instruction budgets keep them to a few hundred
-// milliseconds) so every CI run records sim-cycles/sec and allocs/op.
+// milliseconds) so every CI run records sim-cycles/sec, and gates allocs/op
+// and B/op against the baseline. The baseline is measured on the default
+// event-driven loop, the same loop CI runs.
 //
 // Two mixes bound the engine's operating range:
 //
@@ -15,7 +17,7 @@ package fbdsim
 //
 // Regenerate the committed baseline with:
 //
-//	go test -run '^$' -bench BenchmarkSystemRun -benchmem . | go run ./cmd/benchjson > BENCH_baseline.json
+//	go test -run '^$' -bench BenchmarkSystemRun -benchmem -cpu 1 . | go run ./cmd/benchjson > BENCH_baseline.json
 
 import (
 	"testing"

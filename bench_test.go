@@ -22,6 +22,7 @@ import (
 	"fbdsim/internal/config"
 	"fbdsim/internal/exp"
 	"fbdsim/internal/fbdchan"
+	"fbdsim/internal/memreq"
 	"fbdsim/internal/system"
 	"fbdsim/internal/trace"
 	"fbdsim/internal/workload"
@@ -410,10 +411,12 @@ func BenchmarkChannelScheduling(b *testing.B) {
 	ch := fbdchan.New(&mem, m)
 	b.ResetTimer()
 	ready := clock.Time(0)
+	var req memreq.Request
 	for i := 0; i < b.N; i++ {
-		addr := int64(i%4096) * 64
+		req.Addr = int64(i%4096) * 64
+		req.Loc = m.Map(req.Addr)
 		ready += 12 * clock.Nanosecond
-		ch.ScheduleRead(addr, ready)
+		ch.ScheduleRead(&req, ready)
 		if i%1024 == 0 {
 			ch.Housekeep(ready)
 		}

@@ -42,8 +42,15 @@ type Mapper struct {
 	channels    int64
 	dimms       int64
 	banks       int64
-	totalBanks  int64
 	regionLines int64
+	// unitLines is the interleave unit in cachelines: one line under
+	// cacheline interleaving, the K-line region under multi-cacheline
+	// interleaving, a whole row (page) under page interleaving.
+	unitLines int64
+	// Every geometry value is a power of two (config.Validate), so the
+	// decode is shifts and masks. These are log2 of the unit size, the
+	// channel, DIMM and bank counts, and the units per row.
+	unitShift, chanShift, dimmShift, bankShift, rowShift uint
 
 	// Bank sparing (degraded-DIMM fault mode): accesses to one dead
 	// (channel, DIMM, bank) triple are steered onto the next bank of the
@@ -64,14 +71,26 @@ func New(cfg *config.Mem) *Mapper {
 		channels:    int64(cfg.LogicalChannels),
 		dimms:       int64(cfg.DIMMsPerChannel),
 		banks:       int64(cfg.BanksPerDIMM),
-		regionLines: int64(cfg.RegionLines),
+		regionLines: 1,
 	}
-	m.totalBanks = m.channels * m.dimms * m.banks
-	if cfg.Interleave != config.MultiCachelineInterleave {
-		m.regionLines = 1
+	switch cfg.Interleave {
+	case config.CachelineInterleave:
+		m.unitLines = 1
+	case config.MultiCachelineInterleave:
+		m.regionLines = int64(cfg.RegionLines)
+		m.unitLines = m.regionLines
+	case config.PageInterleave:
+		m.unitLines = m.linesPerRow
+	default:
+		panic(fmt.Sprintf("addrmap: unknown interleave %v", cfg.Interleave))
 	}
+	m.unitShift, m.chanShift = log2(m.unitLines), log2(m.channels)
+	m.dimmShift, m.bankShift = log2(m.dimms), log2(m.banks)
+	m.rowShift = log2(m.linesPerRow / m.unitLines)
 	return m
 }
+
+func log2(v int64) uint { return uint(bits.TrailingZeros64(uint64(v))) }
 
 // LineAddr returns the cacheline-aligned address containing addr.
 func (m *Mapper) LineAddr(addr int64) int64 {
@@ -91,23 +110,28 @@ func (m *Mapper) Map(addr int64) Location {
 	return loc
 }
 
-// mapRaw is the interleaving decomposition before bank sparing.
+// Channel returns Map(addr).Channel without decoding bank, row and column.
+// Neither bank permutation nor bank sparing moves an access to another
+// channel, so the two always agree.
+func (m *Mapper) Channel(addr int64) int {
+	return int(m.lineIndex(addr) >> m.unitShift & (m.channels - 1))
+}
+
+// mapRaw is the interleaving decomposition before bank sparing. Interleave
+// units go to channel, DIMM and bank round-robin with channel varying
+// fastest (maximizing channel-level concurrency), then DIMM, then bank —
+// the wraparound order of Figure 2. Each bank's units then pack into
+// columns and rows.
 func (m *Mapper) mapRaw(addr int64) Location {
 	line := m.lineIndex(addr)
-	var loc Location
-	switch m.cfg.Interleave {
-	case config.CachelineInterleave:
-		loc = m.spread(line, 1, 0)
-	case config.MultiCachelineInterleave:
-		region, inRegion := line/m.regionLines, line%m.regionLines
-		loc = m.spread(region, m.regionLines, inRegion)
-	case config.PageInterleave:
-		page, col := line/m.linesPerRow, line%m.linesPerRow
-		loc = m.spreadUnits(page)
-		loc.Row = page / m.totalBanks
-		loc.Col = int(col)
-	default:
-		panic(fmt.Sprintf("addrmap: unknown interleave %v", m.cfg.Interleave))
+	unit := line >> m.unitShift
+	idx := unit >> (m.chanShift + m.dimmShift + m.bankShift) // unit sequence number within its bank
+	loc := Location{
+		Channel: int(unit & (m.channels - 1)),
+		DIMM:    int(unit >> m.chanShift & (m.dimms - 1)),
+		Bank:    int(unit >> (m.chanShift + m.dimmShift) & (m.banks - 1)),
+		Row:     idx >> m.rowShift,
+		Col:     int(idx&(1<<m.rowShift-1)<<m.unitShift | line&(m.unitLines-1)),
 	}
 	if m.cfg.PermuteBanks {
 		// Permutation-based interleaving [26]: XOR the bank index with
@@ -117,29 +141,6 @@ func (m *Mapper) mapRaw(addr int64) Location {
 		loc.Bank ^= int(loc.Row) & (m.cfg.BanksPerDIMM - 1)
 	}
 	return loc
-}
-
-// spread distributes interleave units (of unitLines cachelines each) across
-// channel, DIMM and bank round-robin, then packs the remainder into columns
-// and rows. offset is the line position within the unit.
-func (m *Mapper) spread(unit, unitLines, offset int64) Location {
-	loc := m.spreadUnits(unit)
-	idx := unit / m.totalBanks // unit sequence number within this bank
-	unitsPerRow := m.linesPerRow / unitLines
-	loc.Row = idx / unitsPerRow
-	loc.Col = int((idx%unitsPerRow)*unitLines + offset)
-	return loc
-}
-
-// spreadUnits assigns a unit number to channel/DIMM/bank round-robin with
-// channel varying fastest (maximizing channel-level concurrency), then DIMM,
-// then bank — the wraparound order of Figure 2.
-func (m *Mapper) spreadUnits(unit int64) Location {
-	return Location{
-		Channel: int(unit % m.channels),
-		DIMM:    int((unit / m.channels) % m.dimms),
-		Bank:    int((unit / (m.channels * m.dimms)) % m.banks),
-	}
 }
 
 // SetBankSpare maps out one bank: every access the interleaving would send
@@ -178,64 +179,49 @@ func (m *Mapper) RegionLines() int { return int(m.regionLines) }
 // RegionID returns a unique identifier of the prefetch group containing
 // addr. Addresses in the same group share DRAM row and bank.
 func (m *Mapper) RegionID(addr int64) int64 {
-	line := m.lineIndex(addr)
-	switch m.cfg.Interleave {
-	case config.MultiCachelineInterleave:
-		return line / m.regionLines
-	case config.PageInterleave:
-		return line / m.linesPerRow
-	default:
-		return line
-	}
+	return m.lineIndex(addr) >> m.unitShift
 }
 
-// Group enumerates the line addresses the AMB fetches for a demand access to
-// addr, demanded line first.
+// Group appends to dst the line addresses the AMB fetches for a demand
+// access to addr, demanded line first, and returns the extended slice.
 //
 // Under multi-cacheline interleaving this is the full K-line region
 // (Figure 2: demand on block 6 fetches blocks 6, 4, 5, 7). Under page
 // interleaving it is the K-line window [N-1, N+2] clipped to the page, as
 // Section 3.2 describes. Under cacheline interleaving it is the demanded
 // line alone.
-func (m *Mapper) Group(addr int64) []int64 {
+func (m *Mapper) Group(dst []int64, addr int64) []int64 {
 	demanded := m.LineAddr(addr)
+	dst = append(dst, demanded)
 	lb := int64(m.cfg.LineBytes)
 	switch m.cfg.Interleave {
 	case config.MultiCachelineInterleave:
 		base := demanded &^ (m.regionLines*lb - 1)
-		group := make([]int64, 0, m.regionLines)
-		group = append(group, demanded)
 		for i := int64(0); i < m.regionLines; i++ {
 			if a := base + i*lb; a != demanded {
-				group = append(group, a)
+				dst = append(dst, a)
 			}
 		}
-		return group
 	case config.PageInterleave:
-		k := int64(m.cfg.RegionLines)
-		if k < 1 {
-			k = 1
-		}
+		k := max(int64(m.cfg.RegionLines), 1)
 		pageBytes := m.linesPerRow * lb
 		pageBase := demanded &^ (pageBytes - 1)
 		start := demanded - lb // block N-1 first, then N+1, N+2, ...
 		if start < pageBase {
 			start = demanded
 		}
-		group := []int64{demanded}
-		for a := start; int64(len(group)) < k; a += lb {
+		for a, n := start, int64(1); n < k; a += lb {
 			if a == demanded {
 				continue
 			}
 			if a < pageBase || a >= pageBase+pageBytes {
 				break
 			}
-			group = append(group, a)
+			dst = append(dst, a)
+			n++
 		}
-		return group
-	default:
-		return []int64{demanded}
 	}
+	return dst
 }
 
 // LocalLineID returns a dense identifier of addr's cacheline *within its
@@ -246,17 +232,7 @@ func (m *Mapper) Group(addr int64) []int64 {
 // every entry into a fraction of the sets.
 func (m *Mapper) LocalLineID(addr int64) int64 {
 	line := m.lineIndex(addr)
-	spread := m.channels * m.dimms
-	switch m.cfg.Interleave {
-	case config.MultiCachelineInterleave:
-		region, off := line/m.regionLines, line%m.regionLines
-		return (region/spread)*m.regionLines + off
-	case config.PageInterleave:
-		page, off := line/m.linesPerRow, line%m.linesPerRow
-		return (page/spread)*m.linesPerRow + off
-	default:
-		return line / spread
-	}
+	return line>>(m.unitShift+m.chanShift+m.dimmShift)<<m.unitShift | line&(m.unitLines-1)
 }
 
 // SameRow reports whether two addresses map to the same row of the same

@@ -1,6 +1,7 @@
 package addrmap
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -91,7 +92,7 @@ func TestMultiCachelineRegions(t *testing.T) {
 func TestFigure2Example(t *testing.T) {
 	cfg := defaultMem(config.MultiCachelineInterleave)
 	m := New(cfg)
-	group := m.Group(6 * 64)
+	group := m.Group(nil, 6*64)
 	if len(group) != 4 {
 		t.Fatalf("group size = %d, want 4", len(group))
 	}
@@ -117,7 +118,7 @@ func TestGroupSharesRegionID(t *testing.T) {
 		cfg := defaultMem(iv)
 		m := New(cfg)
 		for _, addr := range []int64{0, 64, 640, 8192, 1 << 20, 5<<20 + 192} {
-			group := m.Group(addr)
+			group := m.Group(nil, addr)
 			id := m.RegionID(addr)
 			base := m.Map(addr)
 			for _, a := range group {
@@ -141,7 +142,7 @@ func TestPageInterleaveGroupWindow(t *testing.T) {
 
 	// Mid-page: N-1 then N+1, N+2.
 	n := int64(10)
-	group := m.Group(n * 64)
+	group := m.Group(nil, n*64)
 	want := []int64{n * 64, (n - 1) * 64, (n + 1) * 64, (n + 2) * 64}
 	if len(group) != 4 {
 		t.Fatalf("group len = %d", len(group))
@@ -153,7 +154,7 @@ func TestPageInterleaveGroupWindow(t *testing.T) {
 	}
 
 	// First block of a page: no N-1 available.
-	group = m.Group(0)
+	group = m.Group(nil, 0)
 	for _, a := range group {
 		if a < 0 || a >= int64(cfg.RowBytes) {
 			t.Errorf("group member %d outside page", a)
@@ -166,7 +167,7 @@ func TestPageInterleaveGroupWindow(t *testing.T) {
 
 func TestGroupCachelineInterleaveIsSingleton(t *testing.T) {
 	m := New(defaultMem(config.CachelineInterleave))
-	group := m.Group(12345)
+	group := m.Group(nil, 12345)
 	if len(group) != 1 || group[0] != m.LineAddr(12345) {
 		t.Errorf("cacheline interleave group = %v", group)
 	}
@@ -320,7 +321,7 @@ func TestPermutationPreservesRegionCohesion(t *testing.T) {
 	m := New(cfg)
 	for _, addr := range []int64{0, 1 << 16, 5<<20 + 320} {
 		base := m.Map(addr)
-		for _, a := range m.Group(addr) {
+		for _, a := range m.Group(nil, addr) {
 			loc := m.Map(a)
 			if loc.Bank != base.Bank || loc.Row != base.Row || loc.DIMM != base.DIMM {
 				t.Fatalf("region member %#x split from its group: %v vs %v", a, loc, base)
@@ -401,5 +402,55 @@ func TestPermutationScattersRowConflicts(t *testing.T) {
 	qa, qb := perm.Map(a), perm.Map(b)
 	if qa.Bank == qb.Bank {
 		t.Error("permutation failed to scatter consecutive rows across banks")
+	}
+}
+
+// TestChannelMatchesMap: Channel is the channel field of Map, computed
+// without the rest of the decode, under every scheme, with and without
+// bank permutation and with a bank spare armed.
+func TestChannelMatchesMap(t *testing.T) {
+	for _, iv := range []config.Interleave{
+		config.CachelineInterleave, config.MultiCachelineInterleave, config.PageInterleave,
+	} {
+		for _, permute := range []bool{false, true} {
+			for _, spare := range []bool{false, true} {
+				cfg := defaultMem(iv)
+				cfg.PermuteBanks = permute
+				m := New(cfg)
+				if spare {
+					m.SetBankSpare(1, 2, 3)
+				}
+				f := func(raw uint32) bool {
+					addr := int64(raw) * 64
+					return m.Channel(addr) == m.Map(addr).Channel
+				}
+				if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+					t.Errorf("%v permute=%v spare=%v: %v", iv, permute, spare, err)
+				}
+			}
+		}
+	}
+}
+
+// TestGroupAppendsToDst: Group appends the prefetch group to dst and leaves
+// dst's own elements intact, even when dst has spare capacity the append
+// writes into. Under page interleaving the window length counts only the
+// appended lines, not the ones already in dst.
+func TestGroupAppendsToDst(t *testing.T) {
+	for _, iv := range []config.Interleave{
+		config.CachelineInterleave, config.MultiCachelineInterleave, config.PageInterleave,
+	} {
+		m := New(defaultMem(iv))
+		for _, addr := range []int64{0, 6 * 64, 10 * 64, 4096 - 64, 12345, 1 << 30} {
+			want := m.Group(nil, addr)
+			dst := append(make([]int64, 0, 16), -1, -2, -3)
+			got := m.Group(dst, addr)
+			if got[0] != -1 || got[1] != -2 || got[2] != -3 {
+				t.Errorf("%v: Group(dst, %#x) overwrote dst: %v", iv, addr, got[:3])
+			}
+			if !slices.Equal(got[3:], want) {
+				t.Errorf("%v: Group(dst, %#x) appended %v, want %v", iv, addr, got[3:], want)
+			}
+		}
 	}
 }

@@ -72,7 +72,7 @@ type Cache struct {
 	sets int
 	ways int
 	repl config.Replacement
-	data [][]entry
+	data []entry // sets×ways frames, set-major
 	tick int64
 
 	// Stats are exported for the experiment harness.
@@ -100,23 +100,29 @@ func New(lines, assoc int, repl config.Replacement) *Cache {
 		sets: sets,
 		ways: ways,
 		repl: repl,
-		data: make([][]entry, sets),
-	}
-	for i := range c.data {
-		c.data[i] = make([]entry, ways)
+		data: make([]entry, sets*ways),
 	}
 	return c
 }
 
-// setIndex maps a caller-provided index key to a set. The key must be the
-// DIMM-local line ID (addrmap.Mapper.LocalLineID), not the raw address:
-// interleaving makes the channel/DIMM bits of raw addresses constant per
-// AMB, which would alias every entry into a fraction of the sets.
-func (c *Cache) setIndex(localID int64) int {
-	if c.sets == 1 {
-		return 0
+// set returns the frames of the set a caller-provided index key maps to.
+// The key must be the DIMM-local line ID (addrmap.Mapper.LocalLineID), not
+// the raw address: interleaving makes the channel/DIMM bits of raw
+// addresses constant per AMB, which would alias every entry into a
+// fraction of the sets.
+func (c *Cache) set(localID int64) []entry {
+	i := int(localID & int64(c.sets-1))
+	return c.data[i*c.ways : (i+1)*c.ways]
+}
+
+// find returns the frame of set holding lineAddr, or -1.
+func find(set []entry, lineAddr int64) int {
+	for i := range set {
+		if set[i].valid && set[i].addr == lineAddr {
+			return i
+		}
 	}
-	return int(localID & int64(c.sets-1))
+	return -1
 }
 
 // Lines returns the total capacity in cachelines.
@@ -139,25 +145,18 @@ func (c *Cache) LookupRead(lineAddr, localID int64) bool {
 
 // Contains reports residency without touching statistics or recency.
 func (c *Cache) Contains(lineAddr, localID int64) bool {
-	set := c.data[c.setIndex(localID)]
-	for i := range set {
-		if set[i].valid && set[i].addr == lineAddr {
-			return true
-		}
-	}
-	return false
+	return find(c.set(localID), lineAddr) >= 0
 }
 
 func (c *Cache) touch(lineAddr, localID int64) bool {
-	set := c.data[c.setIndex(localID)]
-	for i := range set {
-		if set[i].valid && set[i].addr == lineAddr {
-			c.tick++
-			set[i].use = c.tick
-			return true
-		}
+	set := c.set(localID)
+	i := find(set, lineAddr)
+	if i < 0 {
+		return false
 	}
-	return false
+	c.tick++
+	set[i].use = c.tick
+	return true
 }
 
 // InsertPrefetch stores a prefetched (non-demanded) block, evicting by the
@@ -169,31 +168,28 @@ func (c *Cache) InsertPrefetch(lineAddr, localID int64) (evicted int64, wasEvict
 	return c.insert(lineAddr, localID)
 }
 
+// insert finds, in one pass over the set, the resident copy of lineAddr,
+// the first free frame and the oldest frame by policy (first on ties).
 func (c *Cache) insert(lineAddr, localID int64) (evicted int64, wasEvicted bool) {
-	si := c.setIndex(localID)
-	set := c.data[si]
+	set := c.set(localID)
 	c.tick++
-	// Already resident: refresh only.
+	free, victim := -1, 0
 	for i := range set {
-		if set[i].valid && set[i].addr == lineAddr {
-			set[i].use = c.tick
-			return 0, false
-		}
-	}
-	victim := -1
-	for i := range set {
-		if !set[i].valid {
-			victim = i
-			break
-		}
-	}
-	if victim < 0 {
-		victim = 0
-		for i := 1; i < len(set); i++ {
-			if c.older(set[i], set[victim]) {
-				victim = i
+		switch {
+		case !set[i].valid:
+			if free < 0 {
+				free = i
 			}
+		case set[i].addr == lineAddr:
+			set[i].use = c.tick // already resident: refresh only
+			return 0, false
+		case c.older(set[i], set[victim]):
+			victim = i
 		}
+	}
+	if free >= 0 {
+		victim = free
+	} else {
 		evicted, wasEvicted = set[victim].addr, true
 		c.Stats.Evictions++
 	}
@@ -212,15 +208,11 @@ func (c *Cache) older(a, b entry) bool {
 // the AMB never serves stale data). It reports whether the line was
 // resident.
 func (c *Cache) Invalidate(lineAddr, localID int64) bool {
-	set := c.data[c.setIndex(localID)]
-	for i := range set {
-		if set[i].valid && set[i].addr == lineAddr {
-			set[i].valid = false
-			c.Stats.Invalidations++
-			return true
-		}
+	if !c.drop(lineAddr, localID) {
+		return false
 	}
-	return false
+	c.Stats.Invalidations++
+	return true
 }
 
 // Scrub drops the line because a soft error poisoned it: the controller
@@ -228,26 +220,30 @@ func (c *Cache) Invalidate(lineAddr, localID int64) bool {
 // Invalidate only in accounting — scrubs measure fault-induced losses, not
 // coherence traffic. It reports whether the line was resident.
 func (c *Cache) Scrub(lineAddr, localID int64) bool {
-	set := c.data[c.setIndex(localID)]
-	for i := range set {
-		if set[i].valid && set[i].addr == lineAddr {
-			set[i].valid = false
-			c.Stats.Scrubs++
-			return true
-		}
+	if !c.drop(lineAddr, localID) {
+		return false
 	}
-	return false
+	c.Stats.Scrubs++
+	return true
+}
+
+// drop invalidates the line if resident and reports whether it was.
+func (c *Cache) drop(lineAddr, localID int64) bool {
+	set := c.set(localID)
+	i := find(set, lineAddr)
+	if i >= 0 {
+		set[i].valid = false
+	}
+	return i >= 0
 }
 
 // Occupancy returns the number of valid entries (useful for tests and
 // debugging).
 func (c *Cache) Occupancy() int {
 	n := 0
-	for _, set := range c.data {
-		for _, e := range set {
-			if e.valid {
-				n++
-			}
+	for _, e := range c.data {
+		if e.valid {
+			n++
 		}
 	}
 	return n
@@ -255,11 +251,7 @@ func (c *Cache) Occupancy() int {
 
 // Reset clears all entries and statistics.
 func (c *Cache) Reset() {
-	for i := range c.data {
-		for j := range c.data[i] {
-			c.data[i][j] = entry{}
-		}
-	}
+	clear(c.data)
 	c.tick = 0
 	c.Stats = Stats{}
 }

@@ -249,11 +249,9 @@ func TestNoDuplicateEntries(t *testing.T) {
 		c.InsertPrefetch(4*64, id(4*64))
 	}
 	count := 0
-	for _, set := range c.data {
-		for _, e := range set {
-			if e.valid && e.addr == 4*64 {
-				count++
-			}
+	for _, e := range c.data {
+		if e.valid && e.addr == 4*64 {
+			count++
 		}
 	}
 	if count != 1 {

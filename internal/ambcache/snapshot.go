@@ -9,13 +9,11 @@ import "fbdsim/internal/snapshot"
 func (c *Cache) Snapshot(e *snapshot.Encoder) {
 	e.Int(c.sets)
 	e.Int(c.ways)
-	for _, set := range c.data {
-		for _, en := range set {
-			e.I64(en.addr)
-			e.Bool(en.valid)
-			e.I64(en.seq)
-			e.I64(en.use)
-		}
+	for _, en := range c.data {
+		e.I64(en.addr)
+		e.Bool(en.valid)
+		e.I64(en.seq)
+		e.I64(en.use)
 	}
 	e.I64(c.tick)
 	e.I64(c.Stats.Reads)
@@ -33,10 +31,8 @@ func (c *Cache) Restore(d *snapshot.Decoder) {
 		d.Fail("ambcache: snapshot geometry %dx%d, machine %dx%d", sets, ways, c.sets, c.ways)
 		return
 	}
-	for _, set := range c.data {
-		for i := range set {
-			set[i] = entry{addr: d.I64(), valid: d.Bool(), seq: d.I64(), use: d.I64()}
-		}
+	for i := range c.data {
+		c.data[i] = entry{addr: d.I64(), valid: d.Bool(), seq: d.I64(), use: d.I64()}
 	}
 	c.tick = d.I64()
 	c.Stats = Stats{

@@ -8,13 +8,11 @@ import "fbdsim/internal/snapshot"
 func (c *Cache) Snapshot(e *snapshot.Encoder) {
 	e.Int(c.sets)
 	e.Int(c.ways)
-	for _, set := range c.data {
-		for _, l := range set {
-			e.I64(l.tag)
-			e.Bool(l.valid)
-			e.Bool(l.dirty)
-			e.I64(l.use)
-		}
+	for _, l := range c.data {
+		e.I64(l.tag)
+		e.Bool(l.valid)
+		e.Bool(l.dirty)
+		e.I64(l.use)
 	}
 	e.I64(c.tick)
 	e.I64(c.Stats.Accesses)
@@ -31,10 +29,8 @@ func (c *Cache) Restore(d *snapshot.Decoder) {
 		d.Fail("cache: snapshot geometry %dx%d, machine %dx%d", sets, ways, c.sets, c.ways)
 		return
 	}
-	for _, set := range c.data {
-		for i := range set {
-			set[i] = line{tag: d.I64(), valid: d.Bool(), dirty: d.Bool(), use: d.I64()}
-		}
+	for i := range c.data {
+		c.data[i] = line{tag: d.I64(), valid: d.Bool(), dirty: d.Bool(), use: d.I64()}
 	}
 	c.tick = d.I64()
 	c.Stats = Stats{

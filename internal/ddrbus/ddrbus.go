@@ -21,14 +21,14 @@ import (
 	"fbdsim/internal/config"
 	"fbdsim/internal/dram"
 	"fbdsim/internal/fbdchan"
+	"fbdsim/internal/memreq"
 	"fbdsim/internal/resource"
 )
 
 // Channel is one logical DDR2 channel (a gang of physical channels in
 // lockstep), with its DIMMs attached as ranks on the shared buses.
 type Channel struct {
-	cfg    *config.Mem
-	mapper *addrmap.Mapper
+	cfg *config.Mem
 
 	tck      clock.Time
 	burst    clock.Time // data-bus occupancy of one cacheline
@@ -53,17 +53,16 @@ type Channel struct {
 }
 
 // New builds the channel model from a validated configuration.
-func New(cfg *config.Mem, mapper *addrmap.Mapper) *Channel {
+func New(cfg *config.Mem) *Channel {
 	tck := cfg.DataRate.TCK()
 	gang := clock.Time(cfg.GangWidth)
 	line := clock.Time(cfg.LineBytes)
 	beats := (line + 8*gang - 1) / (8 * gang)
 
 	c := &Channel{
-		cfg:    cfg,
-		mapper: mapper,
-		tck:    tck,
-		burst:  beats * tck / 2,
+		cfg:   cfg,
+		tck:   tck,
+		burst: beats * tck / 2,
 		// Propagation plus the stub-bus overhead of a registered, multi-
 		// drop DDR2 channel: one clock in the DIMM register and 2T command
 		// timing (three clocks total at the configured data rate).
@@ -85,20 +84,20 @@ func New(cfg *config.Mem, mapper *addrmap.Mapper) *Channel {
 // IsFastRead reports an open-row hit opportunity (only meaningful under
 // open-page mode; the DDR2 baseline defaults to close-page cacheline
 // interleaving where it is always false).
-func (c *Channel) IsFastRead(addr int64) bool {
+func (c *Channel) IsFastRead(req *memreq.Request) bool {
 	if c.cfg.PageMode != config.OpenPage {
 		return false
 	}
-	loc := c.mapper.Map(addr)
+	loc := req.Loc
 	return c.dimms[loc.DIMM].Banks[loc.Bank].OpenRow() == loc.Row
 }
 
-// ScheduleRead books command bus, bank, and data bus for a demand read
-// starting no earlier than ready and returns when the cacheline is back at
-// the controller. The second return mirrors the FB-DIMM interface and is
-// always false (no AMB cache on DDR2).
-func (c *Channel) ScheduleRead(addr int64, ready clock.Time) (dataAt clock.Time, ambHit bool) {
-	loc := c.mapper.Map(addr)
+// ScheduleRead books command bus, bank, and data bus for a queued demand
+// read starting no earlier than ready and returns when the cacheline is
+// back at the controller. The second return mirrors the FB-DIMM interface
+// and is always false (no AMB cache on DDR2).
+func (c *Channel) ScheduleRead(req *memreq.Request, ready clock.Time) (dataAt clock.Time, ambHit bool) {
+	loc := req.Loc
 	c.Links.BytesNorth += int64(c.cfg.LineBytes)
 
 	// One reservation covers the ACT+RD command pair.
@@ -149,14 +148,14 @@ func (c *Channel) openRow(loc addrmap.Location, from clock.Time) {
 	dimm.Activate(loc.Bank, actAt, loc.Row, &c.Counters)
 }
 
-// ScheduleWrite books a group of writebacks sharing one DRAM row (one
+// ScheduleWrite books a batch of queued writebacks sharing one DRAM row (one
 // activation, n pipelined column writes) and returns when the last line's
 // data is in the DRAM array. Write data shares the one data bus with reads.
 // Under the baseline's cacheline interleaving, regions are single lines and
 // every group has length one.
-func (c *Channel) ScheduleWrite(addrs []int64, ready clock.Time) clock.Time {
-	loc := c.mapper.Map(addrs[0])
-	n := len(addrs)
+func (c *Channel) ScheduleWrite(batch []*memreq.Request, ready clock.Time) clock.Time {
+	loc := batch[0].Loc
+	n := len(batch)
 	c.Links.BytesSouth += int64(n * c.cfg.LineBytes)
 
 	slot := c.cmdBus.Reserve(ready, clock.Time(1+n)*c.tck)

@@ -6,6 +6,7 @@ import (
 	"fbdsim/internal/addrmap"
 	"fbdsim/internal/clock"
 	"fbdsim/internal/config"
+	"fbdsim/internal/memreq"
 )
 
 const ns = clock.Nanosecond
@@ -22,7 +23,21 @@ func newChannel(t *testing.T, mutate func(*config.Config)) (*Channel, *addrmap.M
 	}
 	m := addrmap.New(&cfg.Mem)
 	mem := cfg.Mem
-	return New(&mem, m), m
+	return New(&mem), m
+}
+
+// rd and wr wrap bare addresses as queued requests, decoded the way the
+// controller's Enqueue decodes them.
+func rd(ch *Channel, addr int64) *memreq.Request {
+	return &memreq.Request{Addr: addr, Loc: addrmap.New(ch.cfg).Map(addr)}
+}
+
+func wr(ch *Channel, addrs ...int64) []*memreq.Request {
+	batch := make([]*memreq.Request, len(addrs))
+	for i, a := range addrs {
+		batch[i] = rd(ch, a)
+	}
+	return batch
 }
 
 // TestIdleReadLatency: DDR2's idle read is 3 propagation + 9 stub-bus
@@ -31,7 +46,7 @@ func newChannel(t *testing.T, mutate func(*config.Config)) (*Channel, *addrmap.M
 // measured idle latencies of Figure 5.
 func TestIdleReadLatency(t *testing.T) {
 	ch, _ := newChannel(t, nil)
-	dataAt, hit := ch.ScheduleRead(0, ready12)
+	dataAt, hit := ch.ScheduleRead(rd(ch, 0), ready12)
 	if hit {
 		t.Fatal("DDR2 never AMB-hits")
 	}
@@ -50,8 +65,8 @@ func TestSharedDataBusSerializes(t *testing.T) {
 	if m.Map(a).BankID(&cfg) == m.Map(b).BankID(&cfg) {
 		t.Fatal("want different banks")
 	}
-	d1, _ := ch.ScheduleRead(a, ready12)
-	d2, _ := ch.ScheduleRead(b, ready12)
+	d1, _ := ch.ScheduleRead(rd(ch, a), ready12)
+	d2, _ := ch.ScheduleRead(rd(ch, b), ready12)
 	if d2-d1 < 6*ns {
 		t.Errorf("shared data bus must serialize: %v apart", d2-d1)
 	}
@@ -61,12 +76,12 @@ func TestSharedDataBusSerializes(t *testing.T) {
 // structural hazard FB-DIMM's separate southbound link removes.
 func TestReadWriteShareDataBus(t *testing.T) {
 	solo, _ := newChannel(t, nil)
-	dSolo, _ := solo.ScheduleRead(2*64, ready12)
+	dSolo, _ := solo.ScheduleRead(rd(solo, 2*64), ready12)
 
 	ch, _ := newChannel(t, nil)
 	// Write to a different bank first; its data occupies the shared bus.
-	ch.ScheduleWrite([]int64{0}, ready12)
-	dAfterWrite, _ := ch.ScheduleRead(2*64, ready12)
+	ch.ScheduleWrite(wr(ch, 0), ready12)
+	dAfterWrite, _ := ch.ScheduleRead(rd(ch, 2*64), ready12)
 	if dAfterWrite <= dSolo {
 		t.Errorf("read unaffected by write-bus occupancy: %v vs solo %v", dAfterWrite, dSolo)
 	}
@@ -82,14 +97,14 @@ func TestOpenPageRowHit(t *testing.T) {
 	if !m.SameRow(0, 64) {
 		t.Fatal("page interleave: lines 0 and 1 share a row")
 	}
-	ch.ScheduleRead(0, ready12)
+	ch.ScheduleRead(rd(ch, 0), ready12)
 	if ch.Counters.ACT != 1 {
 		t.Fatalf("first read ACT = %d", ch.Counters.ACT)
 	}
-	if !ch.IsFastRead(64) {
+	if !ch.IsFastRead(rd(ch, 64)) {
 		t.Error("open row must be fast")
 	}
-	d2, _ := ch.ScheduleRead(64, 600*ns)
+	d2, _ := ch.ScheduleRead(rd(ch, 64), 600*ns)
 	if ch.Counters.ACT != 1 {
 		t.Errorf("row hit issued another ACT (total %d)", ch.Counters.ACT)
 	}
@@ -116,8 +131,8 @@ func TestOpenPageRowConflict(t *testing.T) {
 	if la.BankID(&cfg) != lb.BankID(&cfg) || la.Row == lb.Row {
 		t.Fatalf("addresses do not row-conflict: %v vs %v", la, lb)
 	}
-	ch.ScheduleRead(0, ready12)
-	d2, _ := ch.ScheduleRead(conflict, 500*ns)
+	ch.ScheduleRead(rd(ch, 0), ready12)
+	d2, _ := ch.ScheduleRead(rd(ch, conflict), 500*ns)
 	if ch.Counters.PRE != 1 || ch.Counters.ACT != 2 {
 		t.Errorf("PRE/ACT = %d/%d, want 1/2", ch.Counters.PRE, ch.Counters.ACT)
 	}
@@ -131,7 +146,7 @@ func TestWriteGroupSingleActivation(t *testing.T) {
 	ch, _ := newChannel(t, func(c *config.Config) {
 		c.Mem.Interleave = config.MultiCachelineInterleave
 	})
-	ch.ScheduleWrite([]int64{0, 64, 128, 192}, ready12)
+	ch.ScheduleWrite(wr(ch, 0, 64, 128, 192), ready12)
 	if ch.Counters.ACT != 1 || ch.Counters.ColWrit != 4 {
 		t.Errorf("ACT=%d writes=%d, want 1/4", ch.Counters.ACT, ch.Counters.ColWrit)
 	}
@@ -139,8 +154,8 @@ func TestWriteGroupSingleActivation(t *testing.T) {
 
 func TestLinkBytes(t *testing.T) {
 	ch, _ := newChannel(t, nil)
-	ch.ScheduleRead(0, ready12)
-	ch.ScheduleWrite([]int64{2 * 64}, ready12)
+	ch.ScheduleRead(rd(ch, 0), ready12)
+	ch.ScheduleWrite(wr(ch, 2*64), ready12)
 	if ch.Links.BytesNorth != 64 || ch.Links.BytesSouth != 64 {
 		t.Errorf("bytes = %+v", ch.Links)
 	}
@@ -148,17 +163,17 @@ func TestLinkBytes(t *testing.T) {
 
 func TestClosePageNeverFast(t *testing.T) {
 	ch, _ := newChannel(t, nil)
-	ch.ScheduleRead(0, ready12)
-	if ch.IsFastRead(0) {
+	ch.ScheduleRead(rd(ch, 0), ready12)
+	if ch.IsFastRead(rd(ch, 0)) {
 		t.Error("close-page DDR2 has no fast reads")
 	}
 }
 
 func TestHousekeepPreservesFutureScheduling(t *testing.T) {
 	ch, _ := newChannel(t, nil)
-	ch.ScheduleRead(0, ready12)
+	ch.ScheduleRead(rd(ch, 0), ready12)
 	ch.Housekeep(500 * ns)
-	d, _ := ch.ScheduleRead(2*64, 1200*ns)
+	d, _ := ch.ScheduleRead(rd(ch, 2*64), 1200*ns)
 	if want := 1200*ns + 48*ns; d != want {
 		t.Errorf("post-housekeep read at %v, want %v", d, want)
 	}

@@ -30,14 +30,14 @@ func TestZeroRateInjectorIsTransparent(t *testing.T) {
 	faulty.SetInjector(injector(t, nil))
 	for i, addr := range []int64{0, 2 * 64, 5 * 64, 0} {
 		ready := ready12 + clock.Time(i)*100*ns
-		d0, _ := plain.ScheduleRead(addr, ready)
-		d1, _ := faulty.ScheduleRead(addr, ready)
+		d0, _ := plain.ScheduleRead(rd(plain, addr), ready)
+		d1, _ := faulty.ScheduleRead(rd(faulty, addr), ready)
 		if d0 != d1 {
 			t.Fatalf("read %d: zero-rate injector moved data from %v to %v", i, d0, d1)
 		}
 	}
-	w0 := plain.ScheduleWrite([]int64{7 * 64}, 2000*ns)
-	w1 := faulty.ScheduleWrite([]int64{7 * 64}, 2000*ns)
+	w0 := plain.ScheduleWrite(wr(plain, 7*64), 2000*ns)
+	w1 := faulty.ScheduleWrite(wr(faulty, 7*64), 2000*ns)
 	if w0 != w1 {
 		t.Errorf("zero-rate injector moved write completion from %v to %v", w0, w1)
 	}
@@ -48,7 +48,7 @@ func TestZeroRateInjectorIsTransparent(t *testing.T) {
 // the fault-free run by at least the retry delays.
 func TestSouthRetryCapped(t *testing.T) {
 	plain, _ := newChannel(t, nil)
-	clean, _ := plain.ScheduleRead(0, ready12)
+	clean, _ := plain.ScheduleRead(rd(plain, 0), ready12)
 
 	ch, _ := newChannel(t, nil)
 	in := injector(t, func(fc *config.Fault) {
@@ -57,7 +57,7 @@ func TestSouthRetryCapped(t *testing.T) {
 		fc.RetryDelay = 60 * clock.Nanosecond
 	})
 	ch.SetInjector(in)
-	dataAt, _ := ch.ScheduleRead(0, ready12)
+	dataAt, _ := ch.ScheduleRead(rd(ch, 0), ready12)
 
 	if in.Counters.SouthFrameErrors != 3 {
 		t.Errorf("south errors = %d, want MaxRetries = 3", in.Counters.SouthFrameErrors)
@@ -78,7 +78,7 @@ func TestSouthRetryCapped(t *testing.T) {
 // TestNorthRetryDelaysData: northbound CRC errors replay the data transfer.
 func TestNorthRetryDelaysData(t *testing.T) {
 	plain, _ := newChannel(t, nil)
-	clean, _ := plain.ScheduleRead(0, ready12)
+	clean, _ := plain.ScheduleRead(rd(plain, 0), ready12)
 
 	ch, _ := newChannel(t, nil)
 	in := injector(t, func(fc *config.Fault) {
@@ -86,7 +86,7 @@ func TestNorthRetryDelaysData(t *testing.T) {
 		fc.MaxRetries = 2
 	})
 	ch.SetInjector(in)
-	dataAt, _ := ch.ScheduleRead(0, ready12)
+	dataAt, _ := ch.ScheduleRead(rd(ch, 0), ready12)
 	if in.Counters.NorthFrameErrors != 2 {
 		t.Errorf("north errors = %d, want 2", in.Counters.NorthFrameErrors)
 	}
@@ -111,7 +111,7 @@ func TestRetryConsumesLinkBandwidth(t *testing.T) {
 		// banks, then measure the tail request's completion.
 		var last clock.Time
 		for i := int64(0); i < 8; i++ {
-			last, _ = ch.ScheduleRead(i*2*64, ready12)
+			last, _ = ch.ScheduleRead(rd(ch, i*2*64), ready12)
 		}
 		return last
 	}
@@ -128,9 +128,9 @@ func TestAMBSoftErrorForcesMiss(t *testing.T) {
 	in := injector(t, func(fc *config.Fault) { fc.AMBSoftErrorRate = 1 })
 	ch.SetInjector(in)
 
-	ch.ScheduleRead(0, ready12) // miss; prefetches lines 1..3
+	ch.ScheduleRead(rd(ch, 0), ready12) // miss; prefetches lines 1..3
 	actBefore := ch.Counters.ACT
-	dataAt, hit := ch.ScheduleRead(64, 1000*ns)
+	dataAt, hit := ch.ScheduleRead(rd(ch, 64), 1000*ns)
 	if hit {
 		t.Fatal("scrubbed line must not hit")
 	}
@@ -163,16 +163,16 @@ func TestDegradedBusSlowsDIMM(t *testing.T) {
 	if m.Map(0).DIMM != 0 {
 		t.Fatal("test assumes line 0 on DIMM 0")
 	}
-	c0, _ := plain.ScheduleRead(0, ready12)
-	d0, _ := deg.ScheduleRead(0, ready12)
+	c0, _ := plain.ScheduleRead(rd(plain, 0), ready12)
+	d0, _ := deg.ScheduleRead(rd(deg, 0), ready12)
 	if d0 <= c0 {
 		t.Errorf("degraded DIMM read at %v, healthy at %v; store-and-forward not charged", d0, c0)
 	}
 
 	// Back-to-back reads to the degraded DIMM spread out by the slower bus.
 	gap := func(ch *Channel) clock.Time {
-		a, _ := ch.ScheduleRead(8*64, 5000*ns) // same bank path, later rows — use distinct banks instead
-		b, _ := ch.ScheduleRead(16*64, 5000*ns)
+		a, _ := ch.ScheduleRead(rd(ch, 8*64), 5000*ns) // same bank path, later rows — use distinct banks instead
+		b, _ := ch.ScheduleRead(rd(ch, 16*64), 5000*ns)
 		if b < a {
 			return a - b
 		}
@@ -190,8 +190,8 @@ func TestDegradedBusSlowsDIMM(t *testing.T) {
 	if m.Map(other).DIMM == 0 {
 		t.Fatal("test assumes line 2 off DIMM 0")
 	}
-	p2, _ := plain.ScheduleRead(other, 20000*ns)
-	g2, _ := deg.ScheduleRead(other, 20000*ns)
+	p2, _ := plain.ScheduleRead(rd(plain, other), 20000*ns)
+	g2, _ := deg.ScheduleRead(rd(deg, other), 20000*ns)
 	if p2 != g2 {
 		t.Errorf("healthy DIMM perturbed by another DIMM's degradation: %v vs %v", g2, p2)
 	}
@@ -209,7 +209,7 @@ func TestFaultDeterminism(t *testing.T) {
 		}))
 		out := make([]clock.Time, 0, 16)
 		for i := int64(0); i < 16; i++ {
-			d, _ := ch.ScheduleRead(i*2*64, ready12+clock.Time(i)*50*ns)
+			d, _ := ch.ScheduleRead(rd(ch, i*2*64), ready12+clock.Time(i)*50*ns)
 			out = append(out, d)
 		}
 		return out

@@ -24,6 +24,7 @@ import (
 	"fbdsim/internal/config"
 	"fbdsim/internal/dram"
 	"fbdsim/internal/fault"
+	"fbdsim/internal/memreq"
 	"fbdsim/internal/resource"
 )
 
@@ -57,6 +58,9 @@ type Channel struct {
 	// cache; a demand read racing a prefetch waits for that instant
 	// rather than re-accessing DRAM.
 	inflight map[int64]clock.Time
+	// group is scratch for the line addresses of one AMB group fetch,
+	// reused so fetches allocate nothing; it is dead between calls.
+	group []int64
 
 	// Counters accumulates DRAM operations for the power model.
 	Counters dram.Counters
@@ -189,13 +193,13 @@ func (c *Channel) hop(dimm int) clock.Time {
 	return clock.Time(n) * c.cfg.AMBHopDelay
 }
 
-// IsFastRead reports whether a read to addr would be served without a full
+// IsFastRead reports whether a queued read would be served without a full
 // DRAM access — an AMB-cache hit (or in-flight prefetch), or an open-row
 // hit under open-page mode. The controller's hit-first scheduler
 // prioritizes these.
-func (c *Channel) IsFastRead(addr int64) bool {
-	loc := c.mapper.Map(addr)
-	line := c.mapper.LineAddr(addr)
+func (c *Channel) IsFastRead(req *memreq.Request) bool {
+	loc := req.Loc
+	line := c.mapper.LineAddr(req.Addr)
 	if c.cfg.AMBPrefetch {
 		if c.ambs[loc.DIMM].Contains(line, c.mapper.LocalLineID(line)) {
 			return true
@@ -220,20 +224,20 @@ func (c *Channel) AMBStats() ambcache.Stats {
 	return s
 }
 
-// ScheduleRead books every resource a demand read needs, starting no
+// ScheduleRead books every resource a queued demand read needs, starting no
 // earlier than ready (the time the controller finished its own pipeline),
 // and returns the time the full cacheline is back at the controller plus
 // whether the AMB cache served it.
-func (c *Channel) ScheduleRead(addr int64, ready clock.Time) (dataAt clock.Time, ambHit bool) {
-	loc := c.mapper.Map(addr)
-	line := c.mapper.LineAddr(addr)
+func (c *Channel) ScheduleRead(req *memreq.Request, ready clock.Time) (dataAt clock.Time, ambHit bool) {
+	loc := req.Loc
+	line := c.mapper.LineAddr(req.Addr)
 	c.Links.BytesNorth += int64(c.cfg.LineBytes)
 
 	if c.cfg.AMBPrefetch {
 		if avail, hit := c.lookupAMB(loc.DIMM, line); hit {
 			return c.scheduleAMBHit(loc, ready, avail), true
 		}
-		return c.scheduleGroupFetch(loc, addr, ready), false
+		return c.scheduleGroupFetch(loc, req.Addr, ready), false
 	}
 	// Plain FB-DIMM: single-line DRAM access. The AMB cuts the read data
 	// through to the northbound link as the DDR2 burst streams in (the
@@ -292,7 +296,8 @@ func (c *Channel) scheduleAMBHit(loc addrmap.Location, ready, avail clock.Time) 
 // (fetched first) crosses the northbound link while the other K-1 lines are
 // stored in the AMB cache without touching the channel.
 func (c *Channel) scheduleGroupFetch(loc addrmap.Location, addr int64, ready clock.Time) clock.Time {
-	group := c.mapper.Group(addr)
+	c.group = c.mapper.Group(c.group[:0], addr)
+	group := c.group
 	k := len(group)
 
 	sSlot := c.reserveWithRetry(c.south, ready, c.cmdSlot, fault.SouthFrame)
@@ -360,22 +365,22 @@ func (c *Channel) bankRead(loc addrmap.Location, cmdArrive clock.Time, n int) cl
 	return busAt
 }
 
-// ScheduleWrite books a group of cacheline writebacks that share one DRAM
-// row (the controller batches same-region writes, its hit-first policy
+// ScheduleWrite books a batch of queued cacheline writebacks that share one
+// DRAM row (the controller batches same-region writes, its hit-first policy
 // applied to the write stream): command + data cross the southbound link,
 // then one activation serves n pipelined column writes. It returns the time
 // the last write's data is in the DRAM array.
-func (c *Channel) ScheduleWrite(addrs []int64, ready clock.Time) clock.Time {
-	loc := c.mapper.Map(addrs[0])
-	n := len(addrs)
+func (c *Channel) ScheduleWrite(batch []*memreq.Request, ready clock.Time) clock.Time {
+	loc := batch[0].Loc
+	n := len(batch)
 	c.Links.BytesSouth += int64(n * c.cfg.LineBytes)
 
 	if c.cfg.AMBPrefetch && !c.cfg.AMBWriteUpdate {
 		// The design invalidates cached copies so the AMB never serves
 		// stale data. (Write-update is the ablation alternative: the AMB
 		// snoops the write data as it passes through.)
-		for _, a := range addrs {
-			line := c.mapper.LineAddr(a)
+		for _, req := range batch {
+			line := c.mapper.LineAddr(req.Addr)
 			c.ambs[loc.DIMM].Invalidate(line, c.mapper.LocalLineID(line))
 			delete(c.inflight, line)
 		}

@@ -6,6 +6,7 @@ import (
 	"fbdsim/internal/addrmap"
 	"fbdsim/internal/clock"
 	"fbdsim/internal/config"
+	"fbdsim/internal/memreq"
 )
 
 const ns = clock.Nanosecond
@@ -28,6 +29,20 @@ func newChannel(t *testing.T, mutate func(*config.Config)) (*Channel, *addrmap.M
 	return New(&mem, m), m
 }
 
+// rd and wr wrap bare addresses as queued requests, decoded the way the
+// controller's Enqueue decodes them.
+func rd(ch *Channel, addr int64) *memreq.Request {
+	return &memreq.Request{Addr: addr, Loc: ch.mapper.Map(addr)}
+}
+
+func wr(ch *Channel, addrs ...int64) []*memreq.Request {
+	batch := make([]*memreq.Request, len(addrs))
+	for i, a := range addrs {
+		batch[i] = rd(ch, a)
+	}
+	return batch
+}
+
 func apChannel(t *testing.T, mutate func(*config.Config)) (*Channel, *addrmap.Mapper) {
 	t.Helper()
 	return newChannel(t, func(c *config.Config) {
@@ -43,7 +58,7 @@ func apChannel(t *testing.T, mutate func(*config.Config)) (*Channel, *addrmap.Ma
 // controller overhead (63 ns end to end).
 func TestIdleReadLatency(t *testing.T) {
 	ch, _ := newChannel(t, nil)
-	dataAt, hit := ch.ScheduleRead(0, ready12)
+	dataAt, hit := ch.ScheduleRead(rd(ch, 0), ready12)
 	if hit {
 		t.Fatal("no AMB cache: must not hit")
 	}
@@ -56,9 +71,9 @@ func TestIdleReadLatency(t *testing.T) {
 // hops = 21 ns past the overhead (33 ns end to end).
 func TestAMBHitLatency(t *testing.T) {
 	ch, _ := apChannel(t, nil)
-	ch.ScheduleRead(0, ready12) // miss; prefetches lines 1..3
+	ch.ScheduleRead(rd(ch, 0), ready12) // miss; prefetches lines 1..3
 	const later = 1000 * ns
-	dataAt, hit := ch.ScheduleRead(64, later)
+	dataAt, hit := ch.ScheduleRead(rd(ch, 64), later)
 	if !hit {
 		t.Fatal("line 1 must hit after the group fetch")
 	}
@@ -70,9 +85,9 @@ func TestAMBHitLatency(t *testing.T) {
 // TestFullLatencyHits verifies the FBD-APFL arm: hits pay tRCD+tCL extra.
 func TestFullLatencyHits(t *testing.T) {
 	ch, _ := apChannel(t, func(c *config.Config) { c.Mem.FullLatencyHits = true })
-	ch.ScheduleRead(0, ready12)
+	ch.ScheduleRead(rd(ch, 0), ready12)
 	const later = 1000 * ns
-	dataAt, hit := ch.ScheduleRead(64, later)
+	dataAt, hit := ch.ScheduleRead(rd(ch, 64), later)
 	if !hit {
 		t.Fatal("expected hit")
 	}
@@ -86,7 +101,7 @@ func TestFullLatencyHits(t *testing.T) {
 // AMB cache.
 func TestGroupFetchCountersAndFills(t *testing.T) {
 	ch, m := apChannel(t, nil)
-	ch.ScheduleRead(0, ready12)
+	ch.ScheduleRead(rd(ch, 0), ready12)
 	if ch.Counters.ACT != 1 || ch.Counters.PRE != 1 {
 		t.Errorf("ACT/PRE = %d/%d, want 1/1", ch.Counters.ACT, ch.Counters.PRE)
 	}
@@ -111,11 +126,11 @@ func TestGroupFetchCountersAndFills(t *testing.T) {
 // for the line to land in the AMB, not for a new DRAM access.
 func TestInflightRace(t *testing.T) {
 	ch, _ := apChannel(t, nil)
-	ch.ScheduleRead(0, ready12)
+	ch.ScheduleRead(rd(ch, 0), ready12)
 	actBefore := ch.Counters.ACT
 	// Immediately demand line 3 (the last to arrive, at burstStart+4*burst;
 	// the miss's burst starts at 45ns with burst 6ns → in AMB at 69ns).
-	dataAt, hit := ch.ScheduleRead(192, ready12)
+	dataAt, hit := ch.ScheduleRead(rd(ch, 192), ready12)
 	if !hit {
 		t.Fatal("in-flight line must count as a hit")
 	}
@@ -133,18 +148,18 @@ func TestInflightRace(t *testing.T) {
 // never serves stale data; the write-update ablation keeps them.
 func TestWriteInvalidatesAMB(t *testing.T) {
 	ch, m := apChannel(t, nil)
-	ch.ScheduleRead(0, ready12)
-	ch.ScheduleWrite([]int64{64}, 500*ns)
+	ch.ScheduleRead(rd(ch, 0), ready12)
+	ch.ScheduleWrite(wr(ch, 64), 500*ns)
 	if ch.ambs[0].Contains(64, m.LocalLineID(64)) {
 		t.Error("written line must be invalidated")
 	}
-	if _, hit := ch.ScheduleRead(64, 2000*ns); hit {
+	if _, hit := ch.ScheduleRead(rd(ch, 64), 2000*ns); hit {
 		t.Error("read after write must miss the AMB cache")
 	}
 
 	upd, m2 := apChannel(t, func(c *config.Config) { c.Mem.AMBWriteUpdate = true })
-	upd.ScheduleRead(0, ready12)
-	upd.ScheduleWrite([]int64{64}, 500*ns)
+	upd.ScheduleRead(rd(upd, 0), ready12)
+	upd.ScheduleWrite(wr(upd, 64), 500*ns)
 	if !upd.ambs[0].Contains(64, m2.LocalLineID(64)) {
 		t.Error("write-update ablation must keep the line")
 	}
@@ -159,8 +174,8 @@ func TestVRL(t *testing.T) {
 	if m.Map(addr).DIMM != 0 {
 		t.Fatal("test assumes DIMM 0")
 	}
-	d0, _ := base.ScheduleRead(addr, ready12)
-	d1, _ := vrl.ScheduleRead(addr, ready12)
+	d0, _ := base.ScheduleRead(rd(base, addr), ready12)
+	d1, _ := vrl.ScheduleRead(rd(vrl, addr), ready12)
 	if d0-d1 != 9*ns {
 		t.Errorf("VRL saves %v on DIMM 0, want 9ns (3 vs 12)", d0-d1)
 	}
@@ -180,8 +195,8 @@ func TestBankConflictSerializes(t *testing.T) {
 	if la.Bank != lb.Bank || la.DIMM != lb.DIMM || la.Row == lb.Row {
 		t.Fatalf("addresses do not conflict: %v vs %v", la, lb)
 	}
-	d1, _ := ch.ScheduleRead(a, ready12)
-	d2, _ := ch.ScheduleRead(b, ready12)
+	d1, _ := ch.ScheduleRead(rd(ch, a), ready12)
+	d2, _ := ch.ScheduleRead(rd(ch, b), ready12)
 	// The second activation cannot start before ACT1 + tRC (15ns + 54ns),
 	// so its data lags the first by at least tRC - small overlaps.
 	if d2-d1 < 30*ns {
@@ -194,8 +209,8 @@ func TestBankConflictSerializes(t *testing.T) {
 	if m2.Map(c).BankID(&cfg) == m2.Map(dAddr).BankID(&cfg) {
 		t.Fatal("control addresses share a bank")
 	}
-	e1, _ := ch2.ScheduleRead(c, ready12)
-	e2, _ := ch2.ScheduleRead(dAddr, ready12)
+	e1, _ := ch2.ScheduleRead(rd(ch2, c), ready12)
+	e2, _ := ch2.ScheduleRead(rd(ch2, dAddr), ready12)
 	if e2-e1 >= d2-d1 {
 		t.Errorf("independent banks (%v apart) should beat conflicting banks (%v apart)", e2-e1, d2-d1)
 	}
@@ -213,8 +228,8 @@ func TestNorthboundSerializesIndependentDIMMs(t *testing.T) {
 		t.Fatal("want different DIMMs")
 	}
 	_ = cfg
-	d1, _ := ch.ScheduleRead(a, ready12)
-	d2, _ := ch.ScheduleRead(b, ready12)
+	d1, _ := ch.ScheduleRead(rd(ch, a), ready12)
+	d2, _ := ch.ScheduleRead(rd(ch, b), ready12)
 	if d2-d1 < 6*ns {
 		t.Errorf("northbound must serialize transfers: %v apart", d2-d1)
 	}
@@ -224,7 +239,7 @@ func TestNorthboundSerializesIndependentDIMMs(t *testing.T) {
 // one ACT/PRE pair and n column writes.
 func TestWriteGroupSingleActivation(t *testing.T) {
 	ch, _ := apChannel(t, nil)
-	done := ch.ScheduleWrite([]int64{0, 64, 128, 192}, ready12)
+	done := ch.ScheduleWrite(wr(ch, 0, 64, 128, 192), ready12)
 	if ch.Counters.ACT != 1 || ch.Counters.PRE != 1 {
 		t.Errorf("ACT/PRE = %d/%d, want 1/1", ch.Counters.ACT, ch.Counters.PRE)
 	}
@@ -245,8 +260,8 @@ func TestSeparateWritesCostSeparateActivations(t *testing.T) {
 	ch, _ := newChannel(t, nil)
 	// Under cacheline interleaving, consecutive lines 0 and 2 (same
 	// channel) live in different banks → separate activations.
-	ch.ScheduleWrite([]int64{0}, ready12)
-	ch.ScheduleWrite([]int64{2 * 64}, ready12)
+	ch.ScheduleWrite(wr(ch, 0), ready12)
+	ch.ScheduleWrite(wr(ch, 2*64), ready12)
 	if ch.Counters.ACT != 2 {
 		t.Errorf("ACT = %d, want 2", ch.Counters.ACT)
 	}
@@ -254,9 +269,9 @@ func TestSeparateWritesCostSeparateActivations(t *testing.T) {
 
 func TestLinkByteAccounting(t *testing.T) {
 	ch, _ := newChannel(t, nil)
-	ch.ScheduleRead(0, ready12)
-	ch.ScheduleRead(2*64, ready12)
-	ch.ScheduleWrite([]int64{4 * 64}, ready12)
+	ch.ScheduleRead(rd(ch, 0), ready12)
+	ch.ScheduleRead(rd(ch, 2*64), ready12)
+	ch.ScheduleWrite(wr(ch, 4*64), ready12)
 	if ch.Links.BytesNorth != 128 || ch.Links.BytesSouth != 64 {
 		t.Errorf("bytes = %d north / %d south", ch.Links.BytesNorth, ch.Links.BytesSouth)
 	}
@@ -264,18 +279,18 @@ func TestLinkByteAccounting(t *testing.T) {
 
 func TestIsFastRead(t *testing.T) {
 	ch, _ := apChannel(t, nil)
-	if ch.IsFastRead(64) {
+	if ch.IsFastRead(rd(ch, 64)) {
 		t.Error("cold cache: nothing is fast")
 	}
-	ch.ScheduleRead(0, ready12)
-	if !ch.IsFastRead(64) {
+	ch.ScheduleRead(rd(ch, 0), ready12)
+	if !ch.IsFastRead(rd(ch, 64)) {
 		t.Error("prefetched line must be fast")
 	}
-	if ch.IsFastRead(4 * 64) {
+	if ch.IsFastRead(rd(ch, 4*64)) {
 		t.Error("next region must not be fast")
 	}
 	plain, _ := newChannel(t, nil)
-	if plain.IsFastRead(0) {
+	if plain.IsFastRead(rd(plain, 0)) {
 		t.Error("no AMB cache and close-page: never fast")
 	}
 }
@@ -284,9 +299,9 @@ func TestIsFastRead(t *testing.T) {
 // subsequent requests.
 func TestHousekeepPreservesFutureScheduling(t *testing.T) {
 	ch, _ := newChannel(t, nil)
-	ch.ScheduleRead(0, ready12)
+	ch.ScheduleRead(rd(ch, 0), ready12)
 	ch.Housekeep(500 * ns)
-	dataAt, _ := ch.ScheduleRead(2*64, 1000*ns)
+	dataAt, _ := ch.ScheduleRead(rd(ch, 2*64), 1000*ns)
 	if want := 1000*ns + 51*ns; dataAt != want {
 		t.Errorf("post-housekeep idle read at %v, want %v", dataAt, want)
 	}
@@ -299,11 +314,11 @@ func TestEvictionDropsInflight(t *testing.T) {
 		c.Mem.AMBCacheLines = 4 // tiny cache: one region fills it
 		c.Mem.AMBCacheAssoc = config.FullAssoc
 	})
-	ch.ScheduleRead(0, ready12) // prefetches lines 1..3
+	ch.ScheduleRead(rd(ch, 0), ready12) // prefetches lines 1..3
 	// Next region on the same DIMM: region IDs advance by channels*dimms.
 	cfg := config.WithAMBPrefetch(config.Default()).Mem
 	next := int64(cfg.LogicalChannels*cfg.DIMMsPerChannel) * 4 * 64
-	ch.ScheduleRead(next, 500*ns) // evicts earlier lines
+	ch.ScheduleRead(rd(ch, next), 500*ns) // evicts earlier lines
 	if len(ch.inflight) > 6 {
 		t.Errorf("inflight grew to %d; evicted lines not cleaned", len(ch.inflight))
 	}
@@ -314,8 +329,8 @@ func TestEvictionDropsInflight(t *testing.T) {
 func TestDataRateScalesBurst(t *testing.T) {
 	fast, _ := newChannel(t, nil)
 	slow, _ := newChannel(t, func(c *config.Config) { c.Mem.DataRate = clock.DDR2_533 })
-	df, _ := fast.ScheduleRead(0, ready12)
-	ds, _ := slow.ScheduleRead(0, ready12)
+	df, _ := fast.ScheduleRead(rd(fast, 0), ready12)
+	ds, _ := slow.ScheduleRead(rd(slow, 0), ready12)
 	if ds <= df {
 		t.Errorf("533 MT/s read (%v) should be slower than 667 (%v)", ds, df)
 	}
@@ -344,14 +359,14 @@ func TestSoakInvariants(t *testing.T) {
 			addr := int64(next()%(1<<22)) * 64
 			ready += clock.Time(next()%20) * ns
 			if next()%4 == 0 {
-				done := ch.ScheduleWrite([]int64{m.LineAddr(addr)}, ready)
+				done := ch.ScheduleWrite(wr(ch, m.LineAddr(addr)), ready)
 				if done <= ready {
 					t.Fatalf("write completed before it was ready: %v <= %v", done, ready)
 				}
 				continue
 			}
 			reads++
-			dataAt, _ := ch.ScheduleRead(addr, ready)
+			dataAt, _ := ch.ScheduleRead(rd(ch, addr), ready)
 			// A read can never beat the minimal hit path (cmd + transfer
 			// + hops = 21ns past ready).
 			if dataAt < ready+21*ns {

@@ -21,7 +21,8 @@ func (c *Channel) FunctionalRead(addr int64) {
 	if amb.LookupRead(line, c.mapper.LocalLineID(line)) {
 		return
 	}
-	for _, la := range c.mapper.Group(addr)[1:] {
+	c.group = c.mapper.Group(c.group[:0], addr)
+	for _, la := range c.group[1:] {
 		if evicted, was := amb.InsertPrefetch(la, c.mapper.LocalLineID(la)); was {
 			delete(c.inflight, evicted)
 		}

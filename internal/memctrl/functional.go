@@ -6,7 +6,7 @@ package memctrl
 // carry warm state below the controller (AMB prefetch caches); DDR2
 // channels are stateless at this level, so the call is a no-op for them.
 func (c *Controller) FunctionalRead(addr int64) {
-	ch := c.mapper.Map(addr).Channel
+	ch := c.mapper.Channel(addr)
 	if ch < len(c.fbd) && c.fbd[ch] != nil {
 		c.fbd[ch].FunctionalRead(addr)
 	}
@@ -15,7 +15,7 @@ func (c *Controller) FunctionalRead(addr int64) {
 // FunctionalWrite propagates the state effects of a write (a writeback or
 // dirty eviction) in functional-warming mode; see FunctionalRead.
 func (c *Controller) FunctionalWrite(addr int64) {
-	ch := c.mapper.Map(addr).Channel
+	ch := c.mapper.Channel(addr)
 	if ch < len(c.fbd) && c.fbd[ch] != nil {
 		c.fbd[ch].FunctionalWrite(addr)
 	}

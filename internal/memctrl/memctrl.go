@@ -22,11 +22,13 @@ import (
 )
 
 // channelModel is the contract both interconnect models satisfy.
+// The Schedule* and IsFastRead methods take queued requests, whose Loc the
+// controller decoded once at Enqueue.
 type channelModel interface {
-	IsFastRead(addr int64) bool
-	ScheduleRead(addr int64, ready clock.Time) (dataAt clock.Time, ambHit bool)
+	IsFastRead(req *memreq.Request) bool
+	ScheduleRead(req *memreq.Request, ready clock.Time) (dataAt clock.Time, ambHit bool)
 	// ScheduleWrite handles a batch of writebacks that share one DRAM row.
-	ScheduleWrite(addrs []int64, ready clock.Time) clock.Time
+	ScheduleWrite(batch []*memreq.Request, ready clock.Time) clock.Time
 	Housekeep(horizon clock.Time)
 	// LastTiming reports the command-arrival and service-start instants of
 	// the most recent Schedule* call; the controller copies them into the
@@ -77,11 +79,9 @@ type Controller struct {
 	draining []bool
 
 	completions completionHeap
-	// scratchBatch and scratchAddrs are reused across pickWriteBatch /
-	// startWrites calls so the write path allocates nothing in steady
-	// state. Both are dead between issue() calls.
+	// scratchBatch is reused across pickWriteBatch calls so the write path
+	// allocates nothing in steady state. It is dead between issue() calls.
 	scratchBatch []*memreq.Request
-	scratchAddrs []int64
 	// inflight counts issued-but-uncompleted transactions per channel;
 	// leftover writes below the drain threshold flush only when their
 	// channel is fully quiescent, so batching opportunities survive
@@ -135,7 +135,7 @@ func New(cfg *config.Mem) *Controller {
 	case config.DDR2:
 		c.ddr = make([]*ddrbus.Channel, cfg.LogicalChannels)
 		for i := range c.chans {
-			c.ddr[i] = ddrbus.New(&c.cfg, m)
+			c.ddr[i] = ddrbus.New(&c.cfg)
 			c.chans[i] = c.ddr[i]
 		}
 	default:
@@ -197,28 +197,31 @@ func (c *Controller) TCK() clock.Time { return c.tck }
 // CanAccept reports whether the channel serving addr has buffer space for
 // another transaction of the given kind.
 func (c *Controller) CanAccept(addr int64, kind memreq.Kind) bool {
-	ch := c.mapper.Map(addr).Channel
+	return len(*c.queue(c.mapper.Channel(addr), kind)) < c.cfg.QueueEntries
+}
+
+// queue returns channel ch's transaction buffer for kind.
+func (c *Controller) queue(ch int, kind memreq.Kind) *[]*memreq.Request {
 	if kind == memreq.Read {
-		return len(c.readQ[ch]) < c.cfg.QueueEntries
+		return &c.readQ[ch]
 	}
-	return len(c.writeQ[ch]) < c.cfg.QueueEntries
+	return &c.writeQ[ch]
 }
 
 // Enqueue presents a transaction to the controller at time now. It returns
 // false (and counts a reject) when the transaction buffer is full; the
-// caller retries later, modelling MSHR-held requests.
+// caller retries later, modelling MSHR-held requests. An accepted request's
+// address is decoded here, once: the scheduler and the channel models read
+// req.Loc from then on.
 func (c *Controller) Enqueue(req *memreq.Request, now clock.Time) bool {
-	if !c.CanAccept(req.Addr, req.Kind) {
+	loc := c.mapper.Map(req.Addr)
+	q := c.queue(loc.Channel, req.Kind)
+	if len(*q) >= c.cfg.QueueEntries {
 		c.Stats.QueueRejects++
 		return false
 	}
-	req.Arrived = now
-	ch := c.mapper.Map(req.Addr).Channel
-	if req.Kind == memreq.Read {
-		c.readQ[ch] = append(c.readQ[ch], req)
-	} else {
-		c.writeQ[ch] = append(c.writeQ[ch], req)
-	}
+	req.Loc, req.Arrived = loc, now
+	*q = append(*q, req)
 	return true
 }
 
@@ -293,7 +296,6 @@ func (c *Controller) Tick(now clock.Time) {
 // recordEvent converts a completed request into a memtrace event. Only
 // called while tracing is enabled.
 func (c *Controller) recordEvent(req *memreq.Request, ch int) {
-	loc := c.mapper.Map(req.Addr)
 	created := req.Created
 	if created == 0 || created > req.Arrived {
 		created = req.Arrived
@@ -306,8 +308,8 @@ func (c *Controller) recordEvent(req *memreq.Request, ch int) {
 		SWPrefetch: req.SWPrefetch,
 		AMBHit:     req.AMBHit,
 		Channel:    ch,
-		DIMM:       loc.DIMM,
-		Bank:       loc.Bank,
+		DIMM:       req.Loc.DIMM,
+		Bank:       req.Loc.Bank,
 		Created:    created,
 		Arrived:    req.Arrived,
 		Issued:     req.T.Issued,
@@ -419,7 +421,7 @@ func (c *Controller) pickRead(ch int, now clock.Time, model channelModel) (*memr
 		if req.Arrived+c.cfg.CtrlOverhead > now+c.TCK() {
 			continue // still in the controller pipeline
 		}
-		if model.IsFastRead(req.Addr) {
+		if model.IsFastRead(req) {
 			return req, i // oldest fast read wins immediately
 		}
 		if oldest < 0 {
@@ -472,7 +474,7 @@ func (c *Controller) startRead(req *memreq.Request, model channelModel, now cloc
 		c.inj.NoteRemap()
 	}
 	ready := req.Arrived + c.cfg.CtrlOverhead
-	dataAt, hit := model.ScheduleRead(req.Addr, ready)
+	dataAt, hit := model.ScheduleRead(req, ready)
 	req.AMBHit = hit
 	if c.rec != nil {
 		req.T.Issued = now
@@ -482,29 +484,22 @@ func (c *Controller) startRead(req *memreq.Request, model channelModel, now cloc
 	if hit {
 		c.Stats.AMBHits++
 	}
-	ch := c.mapper.Map(req.Addr).Channel
+	ch := req.Loc.Channel
 	c.inflight[ch]++
 	c.pushCompletion(completion{at: dataAt, req: req, ch: ch})
 }
 
 func (c *Controller) startWrites(batch []*memreq.Request, model channelModel, now clock.Time) {
-	ready := batch[0].Arrived + c.cfg.CtrlOverhead
-	addrs := c.scratchAddrs
-	if cap(addrs) < len(batch) {
-		addrs = make([]int64, len(batch))
-	} else {
-		addrs = addrs[:len(batch)]
-	}
-	for i, req := range batch {
-		addrs[i] = req.Addr
-		if c.inj != nil && c.mapper.Remapped(req.Addr) {
-			c.inj.NoteRemap()
+	if c.inj != nil {
+		for _, req := range batch {
+			if c.mapper.Remapped(req.Addr) {
+				c.inj.NoteRemap()
+			}
 		}
 	}
-	doneAt := model.ScheduleWrite(addrs, ready)
-	c.scratchAddrs = addrs[:0]
+	doneAt := model.ScheduleWrite(batch, batch[0].Arrived+c.cfg.CtrlOverhead)
 	c.Stats.Writes += int64(len(batch))
-	ch := c.mapper.Map(batch[0].Addr).Channel
+	ch := batch[0].Loc.Channel
 	var cmdAt, serviceAt clock.Time
 	if c.rec != nil {
 		cmdAt, serviceAt = model.LastTiming()

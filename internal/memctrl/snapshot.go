@@ -78,14 +78,14 @@ func (c *Controller) Restore(d *snapshot.Decoder, onRead, onWrite func(*memreq.R
 		n := d.Count(64)
 		c.readQ[ch] = c.readQ[ch][:0]
 		for i := 0; i < n; i++ {
-			req := restoreReq(d)
+			req := c.restoreReq(d)
 			rewire(req)
 			c.readQ[ch] = append(c.readQ[ch], req)
 		}
 		n = d.Count(64)
 		c.writeQ[ch] = c.writeQ[ch][:0]
 		for i := 0; i < n; i++ {
-			req := restoreReq(d)
+			req := c.restoreReq(d)
 			rewire(req)
 			c.writeQ[ch] = append(c.writeQ[ch], req)
 		}
@@ -96,7 +96,7 @@ func (c *Controller) Restore(d *snapshot.Decoder, onRead, onWrite func(*memreq.R
 	c.completions = c.completions[:0]
 	for i := 0; i < n; i++ {
 		comp := completion{at: clock.Time(d.I64())}
-		comp.req = restoreReq(d)
+		comp.req = c.restoreReq(d)
 		rewire(comp.req)
 		comp.ch = d.Int()
 		if comp.ch < 0 || comp.ch >= len(c.chans) {
@@ -136,8 +136,10 @@ func snapshotReq(e *snapshot.Encoder, req *memreq.Request) {
 	e.I64(int64(req.T.Service))
 }
 
-func restoreReq(d *snapshot.Decoder) *memreq.Request {
-	return &memreq.Request{
+// restoreReq decodes one transaction written by snapshotReq. Loc is never
+// serialized: it is re-derived from Addr exactly as Enqueue derived it.
+func (c *Controller) restoreReq(d *snapshot.Decoder) *memreq.Request {
+	req := &memreq.Request{
 		ID:         d.I64(),
 		Addr:       d.I64(),
 		Kind:       memreq.Kind(d.Int()),
@@ -153,4 +155,6 @@ func restoreReq(d *snapshot.Decoder) *memreq.Request {
 			Service: clock.Time(d.I64()),
 		},
 	}
+	req.Loc = c.mapper.Map(req.Addr)
+	return req
 }

@@ -2,7 +2,10 @@
 // cache hierarchy, the memory controller, and the channel models.
 package memreq
 
-import "fbdsim/internal/clock"
+import (
+	"fbdsim/internal/addrmap"
+	"fbdsim/internal/clock"
+)
 
 // Kind distinguishes transaction types at the memory controller.
 type Kind int
@@ -42,6 +45,10 @@ type Request struct {
 	Addr int64 // line-aligned physical address
 	Kind Kind
 	Core int
+
+	// Loc is Addr's DRAM location, set by the controller when the request
+	// enters its queue.
+	Loc addrmap.Location
 
 	// SWPrefetch marks reads generated by software prefetch instructions;
 	// the memory system treats them as ordinary reads, but statistics

@@ -2,6 +2,7 @@ package system
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -299,5 +300,33 @@ func TestRestoreCorruptPayloadLeavesMachineUntouched(t *testing.T) {
 	}
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("rejected restore left the machine perturbed")
+	}
+}
+
+// TestSnapshotBytesPinned pins the snapshot byte format: the warm
+// checkpoint of a fixed run must hash to the digest committed when the
+// format was last changed on purpose. A change to what a component writes,
+// or to the order it writes it in, fails here until the snapshot version is
+// bumped and the digests are re-derived deliberately.
+func TestSnapshotBytesPinned(t *testing.T) {
+	benchmarks := []string{"swim", "mcf"}
+	for _, tc := range []struct {
+		name   string
+		cfg    config.Config
+		digest string
+	}{
+		{"ddr2", config.DDR2Baseline(), "6880ee12243e000bc8cd9691eb2f288a7537466fc8a24280e862f85fa1a6c952"},
+		{"fbd", config.Default(), "1ef26386581e145c066e0b88463faece2bcc2bb2c842c449ed538327d9a385fe"},
+		{"fbd-ap", config.WithAMBPrefetch(config.Default()), "676977795ee5f69601ec6243426c98e59b068cbbf222fae2be6620dde41e27e3"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			equivBudgets(&cfg)
+			cfg.Seed = 3
+			_, data, _ := checkpointAt(t, cfg, benchmarks, 0, true)
+			if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != tc.digest {
+				t.Errorf("warm checkpoint SHA-256 = %s, want %s", got, tc.digest)
+			}
+		})
 	}
 }

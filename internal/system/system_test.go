@@ -491,3 +491,32 @@ func TestRunContextBackgroundMatchesRun(t *testing.T) {
 		t.Error("RunWorkloadContext(Background) must be identical to RunWorkload")
 	}
 }
+
+// TestSimulationAllocsFlatInRunLength: the steady-state request path
+// allocates nothing, so a longer run costs no more allocations than a short
+// one. Only set-up (caches, queues, trace generators) may allocate.
+func TestSimulationAllocsFlatInRunLength(t *testing.T) {
+	allocs := func(maxInsts int64) float64 {
+		cfg := config.WithAMBPrefetch(config.Default())
+		cfg.WarmupInsts = 20_000
+		cfg.MaxInsts = maxInsts
+		return testing.AllocsPerRun(1, func() {
+			s, err := New(cfg, []string{"wupwise", "swim", "mgrid", "applu"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	short, long := allocs(50_000), allocs(400_000)
+	if grow := long - short; grow >= 200 {
+		t.Errorf("allocations grow with run length: %.0f at 50k insts, %.0f at 400k (+%.0f, want < 200)", short, long, grow)
+	}
+	n := allocs(200_000)
+	if n > 1_500 {
+		t.Errorf("a 200k-inst run allocates %.0f times, want at most 1500", n)
+	}
+	t.Logf("allocations: %.0f at 50k insts, %.0f at 200k, %.0f at 400k", short, n, long)
+}
