@@ -8,12 +8,16 @@ package fbdsim
 // and B/op against the baseline. The baseline is measured on the default
 // event-driven loop, the same loop CI runs.
 //
-// Two mixes bound the engine's operating range:
+// Two mixes on plain FB-DIMM bound the engine's operating range, and a
+// third exercises the AMB prefetch path:
 //
 //   - stall-heavy (mcf/art): memory-bound cores spend most cycles blocked
 //     on DRAM, the regime the event-driven fast-forward targets;
 //   - compute-heavy (wupwise/lucas): high-IPC cores commit nearly every
-//     cycle, the regime where fast-forward must not add overhead.
+//     cycle, the regime where fast-forward must not add overhead;
+//   - ap-stream (Table 3 mix 4C-1 on FBD-AP): the AMB caches serve over
+//     half the reads, so the prefetch information table, its in-flight
+//     landing times and the group fetches are on the request path.
 //
 // Regenerate the committed baseline with:
 //
@@ -36,11 +40,10 @@ func benchEngineConfig() config.Config {
 	return cfg
 }
 
-// benchmarkSystemRun measures end-to-end engine throughput for one mix,
-// reporting simulated CPU cycles per wall-clock second next to the usual
-// ns/op and (via -benchmem) allocs/op.
-func benchmarkSystemRun(b *testing.B, names []string) {
-	cfg := benchEngineConfig()
+// benchmarkSystemRun measures end-to-end engine throughput for one mix on
+// cfg, reporting simulated CPU cycles per wall-clock second next to the
+// usual ns/op and (via -benchmem) allocs/op.
+func benchmarkSystemRun(b *testing.B, cfg config.Config, names []string) {
 	b.ReportAllocs()
 	var simCycles int64
 	b.ResetTimer()
@@ -59,9 +62,12 @@ func benchmarkSystemRun(b *testing.B, names []string) {
 
 func BenchmarkSystemRun(b *testing.B) {
 	b.Run("stall-heavy", func(b *testing.B) {
-		benchmarkSystemRun(b, []string{"mcf", "art", "mcf", "art"})
+		benchmarkSystemRun(b, benchEngineConfig(), []string{"mcf", "art", "mcf", "art"})
 	})
 	b.Run("compute-heavy", func(b *testing.B) {
-		benchmarkSystemRun(b, []string{"wupwise", "lucas", "wupwise", "lucas"})
+		benchmarkSystemRun(b, benchEngineConfig(), []string{"wupwise", "lucas", "wupwise", "lucas"})
+	})
+	b.Run("ap-stream", func(b *testing.B) {
+		benchmarkSystemRun(b, config.WithAMBPrefetch(benchEngineConfig()), []string{"wupwise", "swim", "mgrid", "applu"})
 	})
 }

@@ -5,7 +5,8 @@ import "fbdsim/internal/snapshot"
 // Snapshot serializes the prefetch buffer's mutable state: every tag
 // entry, the insertion/recency tick, and the coverage statistics.
 // Geometry and replacement policy are construction-derived and not
-// written.
+// written; so are the index, free bitmaps and order queues, which follow
+// from the frames. Landing times are written by the owning channel.
 func (c *Cache) Snapshot(e *snapshot.Encoder) {
 	e.Int(c.sets)
 	e.Int(c.ways)
@@ -24,8 +25,10 @@ func (c *Cache) Snapshot(e *snapshot.Encoder) {
 	e.I64(c.Stats.Scrubs)
 }
 
-// Restore overwrites the buffer's mutable state from d. The geometry must
-// match the constructed cache.
+// Restore overwrites the buffer's mutable state from d and rebuilds the
+// derived lookup structures. The geometry must match the constructed
+// cache, and the frames must be ones the cache can reach: no line resident
+// twice and no order key beyond the tick.
 func (c *Cache) Restore(d *snapshot.Decoder) {
 	if sets, ways := d.Int(), d.Int(); sets != c.sets || ways != c.ways {
 		d.Fail("ambcache: snapshot geometry %dx%d, machine %dx%d", sets, ways, c.sets, c.ways)
@@ -42,5 +45,19 @@ func (c *Cache) Restore(d *snapshot.Decoder) {
 		Evictions:     d.I64(),
 		Invalidations: d.I64(),
 		Scrubs:        d.I64(),
+	}
+	valid := 0
+	for i, en := range c.data {
+		if en.seq > c.tick || en.use > c.tick {
+			d.Fail("ambcache: frame %d order keys %d/%d beyond tick %d", i, en.seq, en.use, c.tick)
+			return
+		}
+		if en.valid {
+			valid++
+		}
+	}
+	c.rebuild()
+	if c.index.Len() != valid {
+		d.Fail("ambcache: %d valid frames hold only %d distinct lines", valid, c.index.Len())
 	}
 }

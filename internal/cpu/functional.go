@@ -61,7 +61,7 @@ func (h *Hierarchy) FunctionalAccess(core int, addr int64, store bool) {
 		return
 	}
 	line := h.l2.LineAddr(addr)
-	if _, ok := h.outstanding[line]; ok {
+	if _, ok := h.outstanding.Get(line); ok {
 		return
 	}
 	if h.l2.Access(addr, store) {
@@ -93,7 +93,7 @@ func (h *Hierarchy) FunctionalPrefetch(core int, addr int64) {
 // resource limits to model).
 func (h *Hierarchy) functionalPrefetchLine(addr int64, counter *int64) {
 	line := h.l2.LineAddr(addr)
-	if _, ok := h.outstanding[line]; ok {
+	if _, ok := h.outstanding.Get(line); ok {
 		return
 	}
 	if h.l2.Contains(addr) {

@@ -14,6 +14,7 @@ import (
 	"fbdsim/internal/clock"
 	"fbdsim/internal/config"
 	"fbdsim/internal/hwprefetch"
+	"fbdsim/internal/lineindex"
 	"fbdsim/internal/memctrl"
 	"fbdsim/internal/memreq"
 )
@@ -63,7 +64,9 @@ type Hierarchy struct {
 	// typed waiters (NewCore self-registers).
 	cores []*Core
 
-	outstanding map[int64]*missEntry
+	// outstanding is the MSHR file: each line with a miss in flight maps
+	// to its entry.
+	outstanding lineindex.Map[*missEntry]
 	unissued    []*missEntry // created but not yet accepted by the controller
 	writebacks  []wbEntry    // dirty victim lines awaiting controller space
 	wbHead      int          // first un-drained writeback (the rest were sent)
@@ -100,7 +103,7 @@ func NewHierarchy(cfg *config.CPU, cores int, mem *memctrl.Controller) *Hierarch
 		cfg:         cfg,
 		l2:          cache.New(cfg.L2KB, cfg.L2Assoc, cfg.LineBytes),
 		mem:         mem,
-		outstanding: make(map[int64]*missEntry),
+		outstanding: lineindex.New[*missEntry](cfg.L2MSHRs),
 	}
 	h.l1 = make([]*cache.Cache, cores)
 	for i := range h.l1 {
@@ -116,11 +119,11 @@ func NewHierarchy(cfg *config.CPU, cores int, mem *memctrl.Controller) *Hierarch
 		}
 		h.hwpf = hwprefetch.New(pc, cfg.LineBytes)
 	}
-	// A read completion resolves its MSHR entry through the outstanding
-	// map (the request address is the entry's line), so one callback
-	// serves every read ever issued.
+	// A read completion resolves its MSHR entry through the MSHR file (the
+	// request address is the entry's line), so one callback serves every
+	// read ever issued.
 	h.onReadDone = func(r *memreq.Request) {
-		e := h.outstanding[r.Addr]
+		e, _ := h.outstanding.Get(r.Addr)
 		done := r.Done
 		h.pool.Put(r)
 		h.complete(e, done)
@@ -161,7 +164,7 @@ func (h *Hierarchy) PrewarmL2(dirtyFrac float64) {
 func (h *Hierarchy) L1(i int) *cache.Cache { return h.l1[i] }
 
 // OutstandingMisses returns the number of L2 misses in flight.
-func (h *Hierarchy) OutstandingMisses() int { return len(h.outstanding) }
+func (h *Hierarchy) OutstandingMisses() int { return h.outstanding.Len() }
 
 // registerCore records c as the delivery target for waiters carrying its
 // id (NewCore calls it).
@@ -209,7 +212,7 @@ func (h *Hierarchy) load(core int, addr int64, cycle int64, w waiter) bool {
 		return true
 	}
 	line := h.l2.LineAddr(addr)
-	if e, ok := h.outstanding[line]; ok {
+	if e, ok := h.outstanding.Get(line); ok {
 		e.waiters = append(e.waiters, w)
 		e.sw = false
 		if e.core != core {
@@ -244,7 +247,7 @@ func (h *Hierarchy) store(core int, addr int64, cycle int64, w waiter) bool {
 		return true
 	}
 	line := h.l2.LineAddr(addr)
-	if e, ok := h.outstanding[line]; ok {
+	if e, ok := h.outstanding.Get(line); ok {
 		e.dirty = true
 		e.sw = false
 		e.waiters = append(e.waiters, w)
@@ -268,7 +271,7 @@ func (h *Hierarchy) Prefetch(core int, addr int64, cycle int64) {
 // counter. Duplicate, resident or resource-starved prefetches drop.
 func (h *Hierarchy) prefetchLine(core int, addr int64, counter *int64) {
 	line := h.l2.LineAddr(addr)
-	if _, ok := h.outstanding[line]; ok {
+	if _, ok := h.outstanding.Get(line); ok {
 		return
 	}
 	if h.l2.Contains(addr) {
@@ -279,7 +282,7 @@ func (h *Hierarchy) prefetchLine(core int, addr int64, counter *int64) {
 		return
 	}
 	e := h.newEntry(line, core, false, true)
-	h.outstanding[line] = e
+	h.outstanding.Put(line, e)
 	h.l2MSHRInUse++
 	*counter++
 	if !h.issue(e) {
@@ -305,7 +308,7 @@ func (h *Hierarchy) startMiss(core int, line int64, dirty, sw bool, w waiter) bo
 	}
 	e := h.newEntry(line, core, dirty, sw)
 	e.waiters = append(e.waiters, w)
-	h.outstanding[line] = e
+	h.outstanding.Put(line, e)
 	h.l2MSHRInUse++
 	h.DemandMisses++
 	if !h.issue(e) {
@@ -359,7 +362,7 @@ func (h *Hierarchy) issue(e *missEntry) bool {
 // complete fills the caches and releases waiters when memory data returns.
 func (h *Hierarchy) complete(e *missEntry, at clock.Time) {
 	doneCycle := clock.CyclesCeil(at)
-	delete(h.outstanding, e.line)
+	h.outstanding.Delete(e.line)
 	h.l2MSHRInUse--
 
 	var victim cache.Victim
@@ -471,7 +474,7 @@ func (h *Hierarchy) canAccept(core int, addr int64) bool {
 		return true
 	}
 	line := h.l2.LineAddr(addr)
-	if _, ok := h.outstanding[line]; ok {
+	if _, ok := h.outstanding.Get(line); ok {
 		return true
 	}
 	if h.l2.Contains(addr) {

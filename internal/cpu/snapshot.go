@@ -1,7 +1,7 @@
 package cpu
 
 import (
-	"sort"
+	"slices"
 
 	"fbdsim/internal/clock"
 	"fbdsim/internal/memreq"
@@ -95,14 +95,11 @@ func (h *Hierarchy) Snapshot(e *snapshot.Encoder) {
 		h.hwpf.Snapshot(e)
 	}
 
-	lines := make([]int64, 0, len(h.outstanding))
-	for line := range h.outstanding {
-		lines = append(lines, line)
-	}
-	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
+	lines := h.outstanding.AppendKeys(make([]int64, 0, h.outstanding.Len()))
+	slices.Sort(lines)
 	e.Int(len(lines))
 	for _, line := range lines {
-		me := h.outstanding[line]
+		me, _ := h.outstanding.Get(line)
 		e.I64(me.line)
 		e.Int(me.core)
 		e.Bool(me.dirty)
@@ -161,7 +158,7 @@ func (h *Hierarchy) Restore(d *snapshot.Decoder) {
 	}
 
 	n := d.Count(32)
-	h.outstanding = make(map[int64]*missEntry, n)
+	h.outstanding.Clear()
 	for i := 0; i < n; i++ {
 		me := &missEntry{
 			line:    d.I64(),
@@ -178,13 +175,13 @@ func (h *Hierarchy) Restore(d *snapshot.Decoder) {
 		if d.Err() != nil {
 			return
 		}
-		h.outstanding[me.line] = me
+		h.outstanding.Put(me.line, me)
 	}
 	n = d.Count(8)
 	h.unissued = h.unissued[:0]
 	for i := 0; i < n; i++ {
 		line := d.I64()
-		me, ok := h.outstanding[line]
+		me, ok := h.outstanding.Get(line)
 		if !ok {
 			d.Fail("cpu: unissued miss %#x has no outstanding entry", line)
 			return

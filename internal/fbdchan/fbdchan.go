@@ -52,12 +52,9 @@ type Channel struct {
 	dimmBus []*resource.Timeline
 	dimms   []*dram.DIMM
 
-	// AMB prefetching state (nil / empty when disabled).
+	// AMB prefetching state (nil when disabled). Each cache's tag entries
+	// also hold the landing times of prefetches still in flight.
 	ambs []*ambcache.Cache
-	// inflight maps a prefetched line to the time it lands in its AMB
-	// cache; a demand read racing a prefetch waits for that instant
-	// rather than re-accessing DRAM.
-	inflight map[int64]clock.Time
 	// group is scratch for the line addresses of one AMB group fetch,
 	// reused so fetches allocate nothing; it is dead between calls.
 	group []int64
@@ -100,7 +97,6 @@ func New(cfg *config.Mem, mapper *addrmap.Mapper) *Channel {
 		cmdDelay: 3 * clock.Nanosecond,
 		south:    resource.NewQuantized(frame / 3),
 		north:    resource.NewQuantized(0),
-		inflight: make(map[int64]clock.Time),
 	}
 	// Northbound: 32 B per frame per physical channel.
 	framesPerLine := (line + 32*gang - 1) / (32 * gang)
@@ -194,19 +190,13 @@ func (c *Channel) hop(dimm int) clock.Time {
 }
 
 // IsFastRead reports whether a queued read would be served without a full
-// DRAM access — an AMB-cache hit (or in-flight prefetch), or an open-row
-// hit under open-page mode. The controller's hit-first scheduler
-// prioritizes these.
+// DRAM access — an AMB-cache hit (including a prefetch still in flight,
+// whose tag is already in the table), or an open-row hit under open-page
+// mode. The controller's hit-first scheduler prioritizes these.
 func (c *Channel) IsFastRead(req *memreq.Request) bool {
 	loc := req.Loc
-	line := c.mapper.LineAddr(req.Addr)
-	if c.cfg.AMBPrefetch {
-		if c.ambs[loc.DIMM].Contains(line, c.mapper.LocalLineID(line)) {
-			return true
-		}
-		if _, ok := c.inflight[line]; ok {
-			return true
-		}
+	if c.cfg.AMBPrefetch && c.ambs[loc.DIMM].Contains(c.mapper.LineAddr(req.Addr)) {
+		return true
 	}
 	if c.cfg.PageMode == config.OpenPage {
 		return c.dimms[loc.DIMM].Banks[loc.Bank].OpenRow() == loc.Row
@@ -256,23 +246,15 @@ func (c *Channel) ScheduleRead(req *memreq.Request, ready clock.Time) (dataAt cl
 // prefetch hit.
 func (c *Channel) lookupAMB(dimm int, line int64) (clock.Time, bool) {
 	amb := c.ambs[dimm]
-	local := c.mapper.LocalLineID(line)
 	// Soft-error injection: a resident line may be found poisoned on
 	// access. The controller scrubs its tag (keeping MC tags and AMB
 	// contents coherent) and the access falls through to a demand miss.
 	// The residency check precedes LookupRead so hit statistics never
 	// count a line the scrub just destroyed.
-	if c.inj != nil && amb.Contains(line, local) && c.inj.AMBSoftError() {
-		amb.Scrub(line, local)
-		delete(c.inflight, line)
+	if c.inj != nil && amb.Contains(line) && c.inj.AMBSoftError() {
+		amb.Scrub(line)
 	}
-	if amb.LookupRead(line, local) {
-		if avail, ok := c.inflight[line]; ok {
-			return avail, true
-		}
-		return 0, true
-	}
-	return 0, false
+	return amb.LookupRead(line)
 }
 
 // scheduleAMBHit returns data from the AMB cache: southbound fetch command,
@@ -314,11 +296,7 @@ func (c *Channel) scheduleGroupFetch(loc addrmap.Location, addr int64, ready clo
 	amb := c.ambs[loc.DIMM]
 	burst := c.burstFor(loc.DIMM)
 	for i, la := range group[1:] {
-		fillAt := burstStart + clock.Time(i+2)*burst
-		if evicted, was := amb.InsertPrefetch(la, c.mapper.LocalLineID(la)); was {
-			delete(c.inflight, evicted)
-		}
-		c.inflight[la] = fillAt
+		amb.InsertPrefetch(la, c.mapper.LocalLineID(la), burstStart+clock.Time(i+2)*burst)
 	}
 	return dataAt
 }
@@ -380,9 +358,7 @@ func (c *Channel) ScheduleWrite(batch []*memreq.Request, ready clock.Time) clock
 		// stale data. (Write-update is the ablation alternative: the AMB
 		// snoops the write data as it passes through.)
 		for _, req := range batch {
-			line := c.mapper.LineAddr(req.Addr)
-			c.ambs[loc.DIMM].Invalidate(line, c.mapper.LocalLineID(line))
-			delete(c.inflight, line)
+			c.ambs[loc.DIMM].Invalidate(c.mapper.LineAddr(req.Addr))
 		}
 	}
 
@@ -432,20 +408,18 @@ func (c *Channel) ScheduleWrite(batch []*memreq.Request, ready clock.Time) clock
 	return dataStart + clock.Time(n)*burst
 }
 
-// Housekeep prunes reservation history older than the horizon and drops
-// in-flight records that have already landed. The controller calls it
-// periodically; horizon must not exceed the earliest future "ready" time it
-// will ever pass to Schedule*.
+// Housekeep prunes reservation history older than the horizon and clears
+// the landing times of prefetches that have landed by then. The controller
+// calls it periodically; horizon must not exceed the earliest future
+// "ready" time it will ever pass to Schedule*.
 func (c *Channel) Housekeep(horizon clock.Time) {
 	c.south.Prune(horizon)
 	c.north.Prune(horizon)
 	for _, b := range c.dimmBus {
 		b.Prune(horizon)
 	}
-	for line, t := range c.inflight {
-		if t <= horizon {
-			delete(c.inflight, line)
-		}
+	for _, a := range c.ambs {
+		a.Land(horizon)
 	}
 }
 

@@ -1,9 +1,12 @@
 package fbdchan
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 
 	"fbdsim/internal/addrmap"
+	"fbdsim/internal/ambcache"
 	"fbdsim/internal/clock"
 	"fbdsim/internal/config"
 	"fbdsim/internal/memreq"
@@ -100,7 +103,7 @@ func TestFullLatencyHits(t *testing.T) {
 // ACT/PRE pair and K pipelined column reads, and deposits K-1 lines in the
 // AMB cache.
 func TestGroupFetchCountersAndFills(t *testing.T) {
-	ch, m := apChannel(t, nil)
+	ch, _ := apChannel(t, nil)
 	ch.ScheduleRead(rd(ch, 0), ready12)
 	if ch.Counters.ACT != 1 || ch.Counters.PRE != 1 {
 		t.Errorf("ACT/PRE = %d/%d, want 1/1", ch.Counters.ACT, ch.Counters.PRE)
@@ -109,7 +112,7 @@ func TestGroupFetchCountersAndFills(t *testing.T) {
 		t.Errorf("column reads = %d, want K=4", ch.Counters.ColRead)
 	}
 	for _, line := range []int64{64, 128, 192} {
-		if !ch.ambs[0].Contains(line, m.LocalLineID(line)) {
+		if !ch.ambs[0].Contains(line) {
 			t.Errorf("line %d missing from AMB cache", line/64)
 		}
 	}
@@ -147,20 +150,20 @@ func TestInflightRace(t *testing.T) {
 // TestWriteInvalidatesAMB: the design invalidates written lines so the AMB
 // never serves stale data; the write-update ablation keeps them.
 func TestWriteInvalidatesAMB(t *testing.T) {
-	ch, m := apChannel(t, nil)
+	ch, _ := apChannel(t, nil)
 	ch.ScheduleRead(rd(ch, 0), ready12)
 	ch.ScheduleWrite(wr(ch, 64), 500*ns)
-	if ch.ambs[0].Contains(64, m.LocalLineID(64)) {
+	if ch.ambs[0].Contains(64) {
 		t.Error("written line must be invalidated")
 	}
 	if _, hit := ch.ScheduleRead(rd(ch, 64), 2000*ns); hit {
 		t.Error("read after write must miss the AMB cache")
 	}
 
-	upd, m2 := apChannel(t, func(c *config.Config) { c.Mem.AMBWriteUpdate = true })
+	upd, _ := apChannel(t, func(c *config.Config) { c.Mem.AMBWriteUpdate = true })
 	upd.ScheduleRead(rd(upd, 0), ready12)
 	upd.ScheduleWrite(wr(upd, 64), 500*ns)
-	if !upd.ambs[0].Contains(64, m2.LocalLineID(64)) {
+	if !upd.ambs[0].Contains(64) {
 		t.Error("write-update ablation must keep the line")
 	}
 }
@@ -319,9 +322,20 @@ func TestEvictionDropsInflight(t *testing.T) {
 	cfg := config.WithAMBPrefetch(config.Default()).Mem
 	next := int64(cfg.LogicalChannels*cfg.DIMMsPerChannel) * 4 * 64
 	ch.ScheduleRead(rd(ch, next), 500*ns) // evicts earlier lines
-	if len(ch.inflight) > 6 {
-		t.Errorf("inflight grew to %d; evicted lines not cleaned", len(ch.inflight))
+	if n := len(inFlight(ch)); n > 6 {
+		t.Errorf("inflight grew to %d; evicted lines not cleaned", n)
 	}
+}
+
+// inFlight returns the channel's prefetches still in flight in line order,
+// the order Snapshot writes them in.
+func inFlight(ch *Channel) []ambcache.InFlight {
+	var out []ambcache.InFlight
+	for _, a := range ch.ambs {
+		out = a.AppendInFlight(out)
+	}
+	slices.SortFunc(out, func(a, b ambcache.InFlight) int { return cmp.Compare(a.Line, b.Line) })
+	return out
 }
 
 // TestDataRateScalesBurst: at 533 MT/s the idle latency grows by the longer

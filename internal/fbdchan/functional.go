@@ -15,19 +15,14 @@ func (c *Channel) FunctionalRead(addr int64) {
 	if !c.cfg.AMBPrefetch {
 		return
 	}
-	loc := c.mapper.Map(addr)
-	line := c.mapper.LineAddr(addr)
-	amb := c.ambs[loc.DIMM]
-	if amb.LookupRead(line, c.mapper.LocalLineID(line)) {
+	amb := c.ambs[c.mapper.Map(addr).DIMM]
+	if _, hit := amb.LookupRead(c.mapper.LineAddr(addr)); hit {
 		return
 	}
 	c.group = c.mapper.Group(c.group[:0], addr)
 	for _, la := range c.group[1:] {
-		if evicted, was := amb.InsertPrefetch(la, c.mapper.LocalLineID(la)); was {
-			delete(c.inflight, evicted)
-		}
-		// No inflight entry: the line is resident as of now.
-		delete(c.inflight, la)
+		// Landing time 0: the line is resident as of now.
+		amb.InsertPrefetch(la, c.mapper.LocalLineID(la), 0)
 	}
 }
 
@@ -38,8 +33,5 @@ func (c *Channel) FunctionalWrite(addr int64) {
 	if !c.cfg.AMBPrefetch || c.cfg.AMBWriteUpdate {
 		return
 	}
-	loc := c.mapper.Map(addr)
-	line := c.mapper.LineAddr(addr)
-	c.ambs[loc.DIMM].Invalidate(line, c.mapper.LocalLineID(line))
-	delete(c.inflight, line)
+	c.ambs[c.mapper.Map(addr).DIMM].Invalidate(c.mapper.LineAddr(addr))
 }

@@ -1,15 +1,17 @@
 package fbdchan
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
+	"fbdsim/internal/ambcache"
 	"fbdsim/internal/clock"
 	"fbdsim/internal/snapshot"
 )
 
 // Snapshot serializes the channel's mutable state: link and DIMM-bus
-// timelines, bank FSMs, AMB caches, the in-flight prefetch table and the
-// accumulated counters. Geometry and timing are construction-derived and
+// timelines, bank FSMs, AMB caches, the landing times of prefetches still
+// in flight and the accumulated counters. Geometry and timing are construction-derived and
 // not written. The fault injector is owned (and serialized) by the
 // controller, which shares it across channels.
 func (c *Channel) Snapshot(e *snapshot.Encoder) {
@@ -27,17 +29,17 @@ func (c *Channel) Snapshot(e *snapshot.Encoder) {
 	for _, a := range c.ambs {
 		a.Snapshot(e)
 	}
-	// The in-flight map is written in sorted key order so identical machine
-	// states produce identical snapshot bytes.
-	lines := make([]int64, 0, len(c.inflight))
-	for line := range c.inflight {
-		lines = append(lines, line)
+	// In-flight prefetches are written as (line, landing) records in line
+	// order, so identical machine states produce identical snapshot bytes.
+	var pending []ambcache.InFlight
+	for _, a := range c.ambs {
+		pending = a.AppendInFlight(pending)
 	}
-	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
-	e.Int(len(lines))
-	for _, line := range lines {
-		e.I64(line)
-		e.I64(int64(c.inflight[line]))
+	slices.SortFunc(pending, func(a, b ambcache.InFlight) int { return cmp.Compare(a.Line, b.Line) })
+	e.Int(len(pending))
+	for _, p := range pending {
+		e.I64(p.Line)
+		e.I64(int64(p.Landing))
 	}
 	c.Counters.Snapshot(e)
 	e.I64(c.Links.BytesNorth)
@@ -48,7 +50,9 @@ func (c *Channel) Snapshot(e *snapshot.Encoder) {
 }
 
 // Restore overwrites the channel's mutable state from d. Structural counts
-// must match the constructed configuration.
+// must match the constructed configuration, and every in-flight record
+// must name a line resident in its DIMM's AMB cache, in line order, with a
+// positive landing time — the only records Snapshot writes.
 func (c *Channel) Restore(d *snapshot.Decoder) {
 	c.south.Restore(d)
 	c.north.Restore(d)
@@ -74,10 +78,22 @@ func (c *Channel) Restore(d *snapshot.Decoder) {
 		a.Restore(d)
 	}
 	n := d.Count(16)
-	c.inflight = make(map[int64]clock.Time, n)
-	for i := 0; i < n; i++ {
-		line := d.I64()
-		c.inflight[line] = clock.Time(d.I64())
+	for i, prev := 0, int64(0); i < n; i++ {
+		line, landing := d.I64(), clock.Time(d.I64())
+		switch {
+		case d.Err() != nil:
+			return
+		case i > 0 && line <= prev:
+			d.Fail("fbdchan: in-flight line %#x follows %#x", line, prev)
+			return
+		case landing <= 0:
+			d.Fail("fbdchan: in-flight line %#x lands at %d", line, landing)
+			return
+		case c.ambs == nil || !c.ambs[c.mapper.Map(line).DIMM].SetLanding(line, landing):
+			d.Fail("fbdchan: in-flight line %#x is not resident in its AMB cache", line)
+			return
+		}
+		prev = line
 	}
 	c.Counters.Restore(d)
 	c.Links = LinkStats{BytesNorth: d.I64(), BytesSouth: d.I64()}

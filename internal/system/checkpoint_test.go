@@ -1,6 +1,7 @@
 package system
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -9,6 +10,7 @@ import (
 	"hash/crc32"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"fbdsim/internal/config"
@@ -240,19 +242,15 @@ func TestRestoreRejectsWrongMachine(t *testing.T) {
 	}
 }
 
-// truncateLastSection rewrites a snapshot so its container stays valid
-// (magic, version, fingerprint, CRC all intact) but the final section's
-// payload is 8 bytes short — corruption only the per-section decode can
-// catch, after every earlier section already decoded successfully.
-func truncateLastSection(t *testing.T, data []byte) []byte {
+// lastSection walks a snapshot body's section table and returns the offset
+// of the final section's length field; its payload follows that field.
+func lastSection(t *testing.T, body []byte) (lenOff int) {
 	t.Helper()
-	body := append([]byte(nil), data[:len(data)-4]...)
 	off := 8 + 4 // magic + version
 	fpLen := binary.LittleEndian.Uint64(body[off:])
 	off += 8 + int(fpLen)
 	nsect := binary.LittleEndian.Uint32(body[off:])
 	off += 4
-	lenOff := 0
 	for i := uint32(0); i < nsect; i++ {
 		tagLen := binary.LittleEndian.Uint64(body[off:])
 		off += 8 + int(tagLen)
@@ -263,6 +261,17 @@ func truncateLastSection(t *testing.T, data []byte) []byte {
 	if off != len(body) {
 		t.Fatalf("section walk ended at %d of %d", off, len(body))
 	}
+	return lenOff
+}
+
+// truncateLastSection rewrites a snapshot so its container stays valid
+// (magic, version, fingerprint, CRC all intact) but the final section's
+// payload is 8 bytes short — corruption only the per-section decode can
+// catch, after every earlier section already decoded successfully.
+func truncateLastSection(t *testing.T, data []byte) []byte {
+	t.Helper()
+	body := append([]byte(nil), data[:len(data)-4]...)
+	lenOff := lastSection(t, body)
 	payLen := binary.LittleEndian.Uint64(body[lenOff:])
 	if payLen < 8 {
 		t.Fatalf("last section too small to truncate")
@@ -270,6 +279,75 @@ func truncateLastSection(t *testing.T, data []byte) []byte {
 	binary.LittleEndian.PutUint64(body[lenOff:], payLen-8)
 	body = body[:len(body)-8]
 	return binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
+}
+
+// misplaceInFlight rewrites an FBD-AP snapshot so its container stays valid
+// but channel 0's last in-flight prefetch record names a line none of the
+// channel's AMB caches holds — a state no run can reach, since a landing
+// time lives in its line's tag entry. The memctrl section (the last one)
+// opens with channel 0, whose AMB caches follow its "caches present" flag:
+// each writes sets and ways, 25-byte frames (address, valid flag, two order
+// keys), its tick and six statistics. The in-flight count and the
+// line-ordered (line, landing) records come next.
+func misplaceInFlight(t *testing.T, data []byte, mem config.Mem) []byte {
+	t.Helper()
+	body := append([]byte(nil), data[:len(data)-4]...)
+	payload := lastSection(t, body) + 8
+	head := binary.LittleEndian.AppendUint64([]byte{1}, 1)
+	head = binary.LittleEndian.AppendUint64(head, uint64(mem.AMBCacheLines))
+	at := bytes.Index(body[payload:], head)
+	if at < 0 {
+		t.Fatalf("no fully associative AMB cache in the memctrl section")
+	}
+	off := payload + at + 1
+	resident := map[int64]bool{}
+	for a := 0; a < mem.DIMMsPerChannel; a++ {
+		off += 16
+		for f := 0; f < mem.AMBCacheLines; f++ {
+			if body[off+8] == 1 {
+				resident[int64(binary.LittleEndian.Uint64(body[off:]))] = true
+			}
+			off += 25
+		}
+		off += 8 + 6*8
+	}
+	n := int(binary.LittleEndian.Uint64(body[off:]))
+	if n < 1 || n > mem.DIMMsPerChannel*mem.AMBCacheLines {
+		t.Fatalf("channel 0 holds %d in-flight records; want at least one", n)
+	}
+	last := off + 8 + (n-1)*16
+	line := int64(binary.LittleEndian.Uint64(body[last:])) + int64(mem.LineBytes)
+	for resident[line] {
+		line += int64(mem.LineBytes)
+	}
+	binary.LittleEndian.PutUint64(body[last:], uint64(line))
+	return binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
+}
+
+// restoreRejected restores bad into a fresh machine, requires ErrCorrupt
+// with a message containing want, and then requires the machine to run
+// exactly like one that never saw the snapshot: restore is all-or-nothing
+// rather than section-by-section.
+func restoreRejected(t *testing.T, cfg config.Config, benchmarks []string, bad []byte, want string) {
+	t.Helper()
+	s, err := New(cfg, benchmarks)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if err := s.RestoreSnapshot(bad, ""); !errors.Is(err, snapshot.ErrCorrupt) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("corrupt payload: got %v, want ErrCorrupt containing %q", err, want)
+	}
+	clean, err := RunWorkload(cfg, benchmarks)
+	if err != nil {
+		t.Fatalf("clean run: %v", err)
+	}
+	got, err := s.Run()
+	if err != nil {
+		t.Fatalf("run after rejected restore: %v", err)
+	}
+	if !reflect.DeepEqual(clean, got) {
+		t.Fatalf("rejected restore left the machine perturbed")
+	}
 }
 
 // TestRestoreCorruptPayloadLeavesMachineUntouched: a snapshot whose
@@ -281,26 +359,17 @@ func TestRestoreCorruptPayloadLeavesMachineUntouched(t *testing.T) {
 	cfg := config.Default()
 	equivBudgets(&cfg)
 	_, data, _ := checkpointAt(t, cfg, []string{"swim"}, 0, true)
-	bad := truncateLastSection(t, data)
+	restoreRejected(t, cfg, []string{"swim"}, truncateLastSection(t, data), "")
+}
 
-	s, err := New(cfg, []string{"swim"})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	if err := s.RestoreSnapshot(bad, ""); !errors.Is(err, snapshot.ErrCorrupt) {
-		t.Fatalf("corrupt payload: got %v, want ErrCorrupt", err)
-	}
-	want, err := RunWorkload(cfg, []string{"swim"})
-	if err != nil {
-		t.Fatalf("clean run: %v", err)
-	}
-	got, err := s.Run()
-	if err != nil {
-		t.Fatalf("run after rejected restore: %v", err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("rejected restore left the machine perturbed")
-	}
+// TestRestoreMisplacedInFlightLeavesMachineUntouched: an in-flight prefetch
+// record whose line is not resident in its DIMM's AMB cache is refused,
+// and the refusal leaves the live System untouched.
+func TestRestoreMisplacedInFlightLeavesMachineUntouched(t *testing.T) {
+	cfg := config.WithAMBPrefetch(config.Default())
+	equivBudgets(&cfg)
+	_, data, _ := checkpointAt(t, cfg, []string{"swim"}, 0, true)
+	restoreRejected(t, cfg, []string{"swim"}, misplaceInFlight(t, data, cfg.Mem), "not resident in its AMB cache")
 }
 
 // TestSnapshotBytesPinned pins the snapshot byte format: the warm

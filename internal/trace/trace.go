@@ -216,6 +216,11 @@ type Synthetic struct {
 	streams  []stream
 	segBytes int64
 
+	// drawGap and gapCDF hold the gap distribution (see gap): gapCDF[n] is
+	// the probability of a gap of at most n instructions.
+	drawGap bool
+	gapCDF  [maxGap + 1]float64
+
 	// queued prefetch to emit before the upcoming access.
 	pending    Item
 	hasPending bool
@@ -242,6 +247,16 @@ func NewSynthetic(p Profile, core int, seed int64) *Synthetic {
 	}
 	if p.HotKB > 0 {
 		g.hotBytes = int64(p.HotKB) << 10
+	}
+	if mean := 1/p.MemRatio - 1; mean > 0 {
+		g.drawGap = true
+		q := 1 / (mean + 1)
+		acc := q
+		g.gapCDF[0] = acc
+		for n := 1; n <= maxGap; n++ {
+			acc += q * pow1mp(q, n)
+			g.gapCDF[n] = acc
+		}
 	}
 	g.streams = make([]stream, p.Streams)
 	for i := range g.streams {
@@ -317,22 +332,22 @@ func (g *Synthetic) streamRef(it *Item) int64 {
 	return g.base + addr
 }
 
+// maxGap caps the gap draw, keeping pathological draws from stalling
+// progress measurement.
+const maxGap = 64
+
 // gap draws the non-memory instruction count before the next reference,
-// geometric with mean 1/MemRatio - 1.
+// geometric with mean 1/MemRatio - 1, by inverse-CDF sampling over the
+// table NewSynthetic builds. The walk takes expected time proportional to
+// the mean. A profile whose mean is not positive draws nothing.
 func (g *Synthetic) gap() int {
-	mean := 1/g.p.MemRatio - 1
-	if mean <= 0 {
+	if !g.drawGap {
 		return 0
 	}
-	// Inverse-CDF geometric sampling, capped to keep pathological draws
-	// from stalling progress measurement.
 	u := g.r.float()
 	n := 0
-	p := 1 / (mean + 1)
-	acc := p
-	for acc < u && n < 64 {
+	for n < maxGap && g.gapCDF[n] < u {
 		n++
-		acc += p * pow1mp(p, n)
 	}
 	return n
 }

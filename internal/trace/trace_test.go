@@ -281,3 +281,56 @@ func TestArtFootprintNearL2Cliff(t *testing.T) {
 		t.Errorf("art footprint %dMB misses the 2-4MB cliff", p.FootprintMB)
 	}
 }
+
+// gapLoop is the inverse-CDF walk gap performed before its CDF was
+// tabulated: the reference the table must match draw for draw.
+func gapLoop(p Profile, r *rng) int {
+	mean := 1/p.MemRatio - 1
+	if mean <= 0 {
+		return 0
+	}
+	u := r.float()
+	n := 0
+	q := 1 / (mean + 1)
+	acc := q
+	for acc < u && n < 64 {
+		n++
+		acc += q * pow1mp(q, n)
+	}
+	return n
+}
+
+// TestGapTableMatchesLoop: the tabulated gap distribution holds exactly the
+// loop's running sums, returns the loop's gap for every draw and consumes
+// the random stream identically, for every profile and for one that draws
+// no gaps.
+func TestGapTableMatchesLoop(t *testing.T) {
+	profiles := []Profile{{Name: "no-gap", MemRatio: 1}}
+	for _, n := range AllProgramNames() {
+		profiles = append(profiles, Profiles()[n])
+	}
+	for _, p := range profiles {
+		g := NewSynthetic(p, 0, 7)
+		if mean := 1/p.MemRatio - 1; mean > 0 {
+			q := 1 / (mean + 1)
+			acc := q
+			for n := 0; n <= 64; n++ {
+				if n > 0 {
+					acc += q * pow1mp(q, n)
+				}
+				if g.gapCDF[n] != acc {
+					t.Fatalf("%s: CDF[%d] = %v, loop sum %v", p.Name, n, g.gapCDF[n], acc)
+				}
+			}
+		}
+		ref := g.r
+		for i := 0; i < 1_000_000; i++ {
+			if got, want := g.gap(), gapLoop(p, &ref); got != want {
+				t.Fatalf("%s: draw %d: table gap %d, loop gap %d", p.Name, i, got, want)
+			}
+		}
+		if g.r != ref {
+			t.Errorf("%s: table and loop consumed the random stream differently", p.Name)
+		}
+	}
+}
