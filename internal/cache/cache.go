@@ -10,12 +10,24 @@ import (
 	"math/bits"
 )
 
-type line struct {
-	tag   int64 // line-aligned address
-	valid bool
-	dirty bool
-	use   int64
+// frame is one way of a set. key holds the line-aligned address with the
+// valid flag in bit 0 and the dirty flag in bit 1 (lines are at least 4
+// bytes, so those bits of a line address are always zero); a lookup then
+// compares one word per way. An invalidated frame keeps its address and
+// dirty bit, which the snapshot records.
+type frame struct {
+	key int64
+	use int64
 }
+
+const (
+	validBit = 1
+	dirtyBit = 2
+	flagBits = validBit | dirtyBit
+)
+
+// hit reports whether f holds line-aligned address la.
+func (f *frame) hit(la int64) bool { return f.key&^dirtyBit == la|validBit }
 
 // Stats counts cache events.
 type Stats struct {
@@ -40,7 +52,7 @@ type Cache struct {
 	ways      int
 	lineBytes int64
 	lineShift uint
-	data      []line // sets×ways frames, set-major
+	data      []frame // sets×ways frames, set-major
 	tick      int64
 
 	// Stats is exported for the experiment harness and tests.
@@ -48,8 +60,12 @@ type Cache struct {
 }
 
 // New builds a cache of sizeKB kilobytes with the given associativity and
-// line size. Geometry must divide evenly into power-of-two sets.
+// line size. Geometry must divide evenly into power-of-two sets, and the
+// line size must be a power of two of at least 4 bytes.
 func New(sizeKB, ways, lineBytes int) *Cache {
+	if lineBytes < 4 || lineBytes&(lineBytes-1) != 0 {
+		panic(fmt.Sprintf("cache: line size %dB not a power of two of at least 4B", lineBytes))
+	}
 	total := sizeKB * 1024
 	if total%(ways*lineBytes) != 0 {
 		panic(fmt.Sprintf("cache: %dKB not divisible into %d-way sets of %dB lines",
@@ -64,7 +80,7 @@ func New(sizeKB, ways, lineBytes int) *Cache {
 		ways:      ways,
 		lineBytes: int64(lineBytes),
 		lineShift: uint(bits.TrailingZeros(uint(lineBytes))),
-		data:      make([]line, sets*ways),
+		data:      make([]frame, sets*ways),
 	}
 	return c
 }
@@ -72,7 +88,7 @@ func New(sizeKB, ways, lineBytes int) *Cache {
 // LineAddr returns the line-aligned address containing addr.
 func (c *Cache) LineAddr(addr int64) int64 { return addr &^ (c.lineBytes - 1) }
 
-func (c *Cache) set(lineAddr int64) []line {
+func (c *Cache) set(lineAddr int64) []frame {
 	idx := int((lineAddr >> c.lineShift) & int64(c.sets-1))
 	return c.data[idx*c.ways : (idx+1)*c.ways]
 }
@@ -84,11 +100,11 @@ func (c *Cache) Access(addr int64, write bool) bool {
 	la := c.LineAddr(addr)
 	set := c.set(la)
 	for i := range set {
-		if set[i].valid && set[i].tag == la {
+		if set[i].hit(la) {
 			c.tick++
 			set[i].use = c.tick
 			if write {
-				set[i].dirty = true
+				set[i].key |= dirtyBit
 			}
 			return true
 		}
@@ -102,7 +118,7 @@ func (c *Cache) Contains(addr int64) bool {
 	la := c.LineAddr(addr)
 	set := c.set(la)
 	for i := range set {
-		if set[i].valid && set[i].tag == la {
+		if set[i].hit(la) {
 			return true
 		}
 	}
@@ -123,18 +139,20 @@ func (c *Cache) Fill(addr int64, dirty bool) Victim {
 	la := c.LineAddr(addr)
 	set := c.set(la)
 	c.tick++
+	key := la | validBit
+	if dirty {
+		key |= dirtyBit
+	}
 	for i := range set {
-		if set[i].valid && set[i].tag == la {
+		if set[i].hit(la) {
 			set[i].use = c.tick
-			if dirty {
-				set[i].dirty = true
-			}
+			set[i].key |= key & dirtyBit
 			return Victim{}
 		}
 	}
 	victim := 0
 	for i := range set {
-		if !set[i].valid {
+		if set[i].key&validBit == 0 {
 			victim = i
 			goto install
 		}
@@ -144,14 +162,14 @@ func (c *Cache) Fill(addr int64, dirty bool) Victim {
 	}
 install:
 	out := Victim{}
-	if set[victim].valid {
-		out = Victim{Addr: set[victim].tag, Dirty: set[victim].dirty, Valid: true}
+	if old := set[victim].key; old&validBit != 0 {
+		out = Victim{Addr: old &^ flagBits, Dirty: old&dirtyBit != 0, Valid: true}
 		c.Stats.Evictions++
 		if out.Dirty {
 			c.Stats.DirtyEvicts++
 		}
 	}
-	set[victim] = line{tag: la, valid: true, dirty: dirty, use: c.tick}
+	set[victim] = frame{key: key, use: c.tick}
 	return out
 }
 
@@ -168,9 +186,9 @@ func (c *Cache) Invalidate(addr int64) (wasDirty, wasPresent bool) {
 	la := c.LineAddr(addr)
 	set := c.set(la)
 	for i := range set {
-		if set[i].valid && set[i].tag == la {
-			set[i].valid = false
-			return set[i].dirty, true
+		if set[i].hit(la) {
+			set[i].key &^= validBit
+			return set[i].key&dirtyBit != 0, true
 		}
 	}
 	return false, false
@@ -183,10 +201,8 @@ func (c *Cache) Ways() int { return c.ways }
 // Occupancy returns the number of valid lines (test helper).
 func (c *Cache) Occupancy() int {
 	n := 0
-	for _, l := range c.data {
-		if l.valid {
-			n++
-		}
+	for _, f := range c.data {
+		n += int(f.key & validBit)
 	}
 	return n
 }

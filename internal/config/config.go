@@ -528,8 +528,10 @@ func (c *Config) Validate() error {
 	case c.WarmupInsts < 0:
 		return errors.New("config: WarmupInsts must be non-negative")
 	}
-	if !powerOfTwo(c.CPU.LineBytes) {
-		return fmt.Errorf("config: line size %d not a power of two", c.CPU.LineBytes)
+	// The caches keep their valid and dirty flags in the two low bits of a
+	// line address, so a line holds at least 4 bytes.
+	if !powerOfTwo(c.CPU.LineBytes) || c.CPU.LineBytes < 4 {
+		return fmt.Errorf("config: line size %d not a power of two of at least 4 bytes", c.CPU.LineBytes)
 	}
 	if c.Trace.Epoch < 0 {
 		return errors.New("config: trace epoch must be non-negative")

@@ -133,6 +133,7 @@ func TestValidateRejects(t *testing.T) {
 		{"zero issue", func(c *Config) { c.CPU.IssueWidth = 0 }, "issue"},
 		{"zero rob", func(c *Config) { c.CPU.ROBEntries = 0 }, "ROB"},
 		{"line mismatch", func(c *Config) { c.CPU.LineBytes = 32 }, "mismatch"},
+		{"tiny line", func(c *Config) { c.CPU.LineBytes = 2; c.Mem.LineBytes = 2 }, "at least 4 bytes"},
 		{"zero insts", func(c *Config) { c.MaxInsts = 0 }, "MaxInsts"},
 		{"negative warmup", func(c *Config) { c.WarmupInsts = -1 }, "Warmup"},
 		{"bad rate", func(c *Config) { c.Mem.DataRate = 123 }, "data rate"},

@@ -53,6 +53,31 @@ type Core struct {
 	// Stalls counts cycles in which nothing committed while the ROB was
 	// non-empty (diagnostic).
 	Stalls int64
+
+	sched schedule
+}
+
+// schedule is the event-driven system loop's bookkeeping for one core (see
+// Step, Wake and Settle). It is not machine state: snapshots never carry
+// it, and ResetSchedule re-arms it at the start of every run.
+type schedule struct {
+	// wake caches nextEventCycle's answer from the last query. The answer
+	// goes stale only when the core ticks or the hierarchy delivers it a
+	// completion (requery), or when the query's dispatch probe was refused
+	// (probe) and the hierarchy's residency/MSHR state has changed since
+	// (probeGen). Every other input is the core's own state, which only
+	// Tick changes.
+	wake     int64
+	probeGen uint64
+	requery  bool
+	// from is the first cycle whose per-cycle effects are not accounted
+	// yet. A skipped cycle is one in which Tick would only have counted a
+	// commit stall (stall: the ROB is non-empty) and, when probe is set,
+	// paid one refused L1 and L2 lookup. Neither flag can change before
+	// the next tick or delivery.
+	from  int64
+	stall bool
+	probe bool
 }
 
 // NewCore builds core id fed by gen and backed by hier.
@@ -76,7 +101,16 @@ func (c *Core) fetchNext() {
 	c.opPending = true
 }
 
-func (c *Core) tailIndex() int { return (c.head + c.n - 1) % len(c.ring) }
+// wrap maps a ring position below 2×len(ring) into the ring; a compare
+// costs less than the divide of %.
+func (c *Core) wrap(i int) int {
+	if i >= len(c.ring) {
+		i -= len(c.ring)
+	}
+	return i
+}
+
+func (c *Core) tailIndex() int { return c.wrap(c.head + c.n - 1) }
 
 // addGap appends d freely-committing instructions to the ROB tail.
 func (c *Core) addGap(d int) {
@@ -113,7 +147,7 @@ func (c *Core) push(it robItem) {
 	if c.n == len(c.ring) {
 		panic(fmt.Sprintf("cpu: core %d ROB ring overflow", c.id))
 	}
-	c.ring[(c.head+c.n)%len(c.ring)] = it
+	c.ring[c.wrap(c.head+c.n)] = it
 	c.n++
 }
 
@@ -124,14 +158,78 @@ func (c *Core) Tick(cycle int64) {
 	c.dispatch(cycle)
 }
 
-// waitsExternal is the NextEventCycle sentinel for "blocked until a memory
+// ResetSchedule arms the event-driven loop's bookkeeping for a run that
+// starts at cycle: the core is due at once and owes no skipped cycles.
+func (c *Core) ResetSchedule(cycle int64) {
+	c.sched = schedule{wake: cycle, from: cycle}
+}
+
+// Step is the event-driven loop's Tick: it ticks the core at cycle only
+// when the core is due — its cached wake time has come or the cached
+// answer is stale — first settling the cycles it skipped. A core that is
+// not due would, by nextEventCycle's contract, change nothing but its
+// stall count and the refused-probe statistics, which Settle replays.
+func (c *Core) Step(cycle int64) {
+	if c.sched.wake > cycle && !c.stale() {
+		return
+	}
+	c.Settle(cycle)
+	c.Tick(cycle)
+	c.sched.from = cycle + 1
+	c.sched.requery = true
+}
+
+// stale reports whether the cached wake time may be too late.
+func (c *Core) stale() bool {
+	s := &c.sched
+	return s.requery || s.probe && s.probeGen != c.hier.gen
+}
+
+// Wake returns the cycle at or after next (the cycle after the one just
+// executed) at which the core next needs a tick. It re-queries
+// nextEventCycle only when the core ticked, received a completion, or was
+// refused by a hierarchy that has changed since; otherwise it returns the
+// cached answer.
+func (c *Core) Wake(next int64) int64 {
+	s := &c.sched
+	if !c.stale() {
+		return s.wake
+	}
+	c.Settle(next) // the skipped cycles before next keep the old flags
+	s.wake = c.nextEventCycle(next)
+	s.requery = false
+	s.stall = c.n > 0
+	s.probe = s.wake > next && c.retryProbesCache()
+	s.probeGen = c.hier.gen
+	return s.wake
+}
+
+// Settle accounts the cycles the event-driven loop skipped before cycle:
+// one commit stall each while the ROB was non-empty, and the cache
+// statistics of one refused dispatch probe each while the core sat in the
+// MSHR retry state. The loop settles every core before it reads or
+// serializes machine state at a check boundary.
+func (c *Core) Settle(cycle int64) {
+	s := &c.sched
+	if n := cycle - s.from; n > 0 {
+		if s.stall {
+			c.Stalls += n
+		}
+		if s.probe {
+			c.hier.replayBlockedProbes(c.id, n)
+		}
+	}
+	s.from = cycle
+}
+
+// waitsExternal is the nextEventCycle sentinel for "blocked until a memory
 // completion callback fires". Completions only fire inside controller
 // ticks, which the system loop schedules from the controller's own
 // next-event query, so a core reporting waitsExternal never needs a wakeup
 // of its own.
 const waitsExternal = int64(1)<<62 - 1
 
-// NextEventCycle reports the earliest cycle at or after next whose Tick
+// nextEventCycle reports the earliest cycle at or after next whose Tick
 // could change core state, assuming no memory completion callback fires
 // before then. It returns next itself when the core can make progress
 // immediately, the ROB head's data-ready cycle when commit is the only
@@ -140,7 +238,7 @@ const waitsExternal = int64(1)<<62 - 1
 // cycle than the true next event (costing a wasted tick), never a later
 // one — that is the contract that keeps the fast-forward loop bit-identical
 // to the reference loop.
-func (c *Core) NextEventCycle(next int64) int64 {
+func (c *Core) nextEventCycle(next int64) int64 {
 	wake := waitsExternal
 	if c.n > 0 {
 		it := &c.ring[c.head]
@@ -189,23 +287,14 @@ func (c *Core) canDispatchOp() bool {
 	}
 }
 
-// AddStallCycles accounts skipped quiescent cycles: the reference loop
-// would have counted each of them as a commit stall while the ROB was
-// non-empty.
-func (c *Core) AddStallCycles(n int64) {
-	if c.n > 0 {
-		c.Stalls += n
-	}
-}
-
-// RetryProbesCache reports whether the core is blocked in the one dispatch
+// retryProbesCache reports whether the core is blocked in the one dispatch
 // state that touches the cache hierarchy every cycle: an op that clears the
 // queue and dependence checks but is refused by the hierarchy (MSHR
 // exhaustion). The reference loop pays a failed L1 and L2 lookup — and
 // their statistics — for each such cycle; the fast-forward loop replays
-// those counts in bulk via Hierarchy.ReplayBlockedProbes. Only meaningful
-// when NextEventCycle did not report immediate progress.
-func (c *Core) RetryProbesCache() bool {
+// those counts in bulk via Hierarchy.replayBlockedProbes. Only meaningful
+// when nextEventCycle did not report immediate progress.
+func (c *Core) retryProbesCache() bool {
 	if c.robCount >= c.cfg.ROBEntries || c.gapLeft > 0 || !c.opPending {
 		return false
 	}
@@ -241,7 +330,7 @@ func (c *Core) commit(cycle int64) {
 			}
 		}
 		if !it.hasOp {
-			c.head = (c.head + 1) % len(c.ring)
+			c.head = c.wrap(c.head + 1)
 			c.n--
 			continue
 		}
@@ -252,7 +341,7 @@ func (c *Core) commit(cycle int64) {
 		c.Committed++
 		c.lqInUse--
 		budget--
-		c.head = (c.head + 1) % len(c.ring)
+		c.head = c.wrap(c.head + 1)
 		c.n--
 	}
 	if c.Committed == before && c.n > 0 {
@@ -349,10 +438,14 @@ func (c *Core) loadDone(idx int, seq int64, ready int64) {
 	if seq == c.lastLoadSeq {
 		c.lastLoadDone = true
 	}
+	c.sched.requery = true
 }
 
 // storeDone releases the store-queue entry of a completed store.
-func (c *Core) storeDone() { c.sqInUse-- }
+func (c *Core) storeDone() {
+	c.sqInUse--
+	c.sched.requery = true
+}
 
 // unwindLoad removes the just-added load record (it must be the tail).
 func (c *Core) unwindLoad(idx int) {

@@ -88,6 +88,12 @@ type Hierarchy struct {
 	reqID       int64
 	now         clock.Time // time of the current cycle, set by Tick
 
+	// gen counts changes to the residency and MSHR state canAccept reads:
+	// MSHR allocation, miss completion and the L2 fold of a dirty L1
+	// victim each bump it. A core whose dispatch probe was refused need
+	// not be asked again until gen moves (see Core.Wake).
+	gen uint64
+
 	// Stats.
 	DemandMisses int64 // L2 demand (load/store) misses sent to memory
 	SWPrefetches int64 // software prefetches sent to memory
@@ -321,6 +327,7 @@ func (h *Hierarchy) startMiss(core int, line int64, dirty, sw bool, w waiter) bo
 // newEntry allocates an MSHR record stamped with the current time, reusing
 // a freed one (and its waiters backing array) when available.
 func (h *Hierarchy) newEntry(line int64, core int, dirty, sw bool) *missEntry {
+	h.gen++
 	if n := len(h.entryFree); n > 0 {
 		e := h.entryFree[n-1]
 		h.entryFree = h.entryFree[:n-1]
@@ -362,6 +369,7 @@ func (h *Hierarchy) issue(e *missEntry) bool {
 // complete fills the caches and releases waiters when memory data returns.
 func (h *Hierarchy) complete(e *missEntry, at clock.Time) {
 	doneCycle := clock.CyclesCeil(at)
+	h.gen++
 	h.outstanding.Delete(e.line)
 	h.l2MSHRInUse--
 
@@ -386,6 +394,7 @@ func (h *Hierarchy) fillL1(core int, addr int64, dirty bool) {
 	v := h.l1[core].Fill(addr, dirty)
 	if v.Valid && v.Dirty {
 		// Dirty L1 victim folds back into the L2.
+		h.gen++
 		lv := h.l2.Fill(v.Addr, true)
 		if lv.Valid && lv.Dirty {
 			h.writeback(lv.Addr)
@@ -491,12 +500,12 @@ func (h *Hierarchy) CanAcceptLoad(core int, addr int64) bool { return h.canAccep
 // this cycle (no side effects).
 func (h *Hierarchy) CanAcceptStore(core int, addr int64) bool { return h.canAccept(core, addr) }
 
-// ReplayBlockedProbes credits the cache statistics of n failed dispatch
+// replayBlockedProbes credits the cache statistics of n failed dispatch
 // probes by core: each cycle the reference loop spends in the
 // MSHR-exhaustion retry state performs one missing L1 lookup and one
 // missing L2 lookup (no LRU or other state is touched on a miss), so the
 // fast-forward loop adds the counts in bulk for the cycles it skips.
-func (h *Hierarchy) ReplayBlockedProbes(core int, n int64) {
+func (h *Hierarchy) replayBlockedProbes(core int, n int64) {
 	h.l1[core].Stats.Accesses += n
 	h.l1[core].Stats.Misses += n
 	h.l2.Stats.Accesses += n

@@ -399,3 +399,71 @@ func TestSnapshotBytesPinned(t *testing.T) {
 		})
 	}
 }
+
+// TestWarmCheckpointBytesMatchReferenceLoop: the warm checkpoint taken
+// under the event-driven loop is byte-identical to the reference loop's and
+// lands on the same boundary. The bytes carry what no Results field does —
+// every core's stall count and the cache statistics of refused dispatch
+// probes — which is exactly what the fast loop replays lazily for the
+// cores it skips. (Mid-run AtCycle checkpoints cannot be compared this
+// way: the fast loop may skip past the requested boundary and capture at a
+// later one.)
+func TestWarmCheckpointBytesMatchReferenceLoop(t *testing.T) {
+	modes := []struct {
+		name string
+		cfg  func() config.Config
+	}{
+		{"ddr2", config.DDR2Baseline},
+		{"fbd", config.Default},
+		{"fbd-ap", func() config.Config { return config.WithAMBPrefetch(config.Default()) }},
+		// Tiny load/store queues and MSHR file: cores block on a full
+		// queue or a refused probe most of the time, so wake-ups come
+		// from completion deliveries and hierarchy changes.
+		{"fbd-tiny-queues", func() config.Config {
+			cfg := config.Default()
+			cfg.CPU.LQEntries, cfg.CPU.SQEntries, cfg.CPU.L2MSHRs = 2, 1, 4
+			return cfg
+		}},
+	}
+	workloads := [][]string{{"mcf", "art"}, {"wupwise", "swim", "mgrid", "applu"}, {"wupwise", "lucas"}}
+	warmBytes := func(t *testing.T, cfg config.Config, benchmarks []string, reference bool) ([]byte, int64) {
+		t.Helper()
+		s, err := New(cfg, benchmarks)
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		s.SetReferenceLoop(reference)
+		var cp Checkpoint
+		ctx := WithCheckpoint(context.Background(), CheckpointSpec{
+			AtWarm:       true,
+			OnCheckpoint: func(c Checkpoint) error { cp = c; return nil },
+		})
+		if _, err := s.RunContext(ctx); err != nil {
+			t.Fatalf("run (reference=%v): %v", reference, err)
+		}
+		if cp.Data == nil {
+			t.Fatalf("no warm checkpoint (reference=%v)", reference)
+		}
+		return cp.Data, cp.Cycle
+	}
+	for _, mode := range modes {
+		for _, benchmarks := range workloads {
+			for _, seed := range []int64{1, 3, 7} {
+				name := fmt.Sprintf("%s/%s/seed%d", mode.name, strings.Join(benchmarks, "+"), seed)
+				t.Run(name, func(t *testing.T) {
+					cfg := mode.cfg()
+					equivBudgets(&cfg)
+					cfg.Seed = seed
+					ref, refCycle := warmBytes(t, cfg, benchmarks, true)
+					fast, fastCycle := warmBytes(t, cfg, benchmarks, false)
+					if refCycle != fastCycle {
+						t.Fatalf("warm checkpoint at cycle %d under the fast loop, %d under the reference loop", fastCycle, refCycle)
+					}
+					if !bytes.Equal(ref, fast) {
+						t.Fatalf("warm checkpoint bytes differ between loops (%d vs %d bytes)", len(fast), len(ref))
+					}
+				})
+			}
+		}
+	}
+}

@@ -332,12 +332,14 @@ func (s *System) runReference(ctx context.Context) (Results, error) {
 // and dispatchability, the hierarchy reports pending retries the controller
 // would accept, the controller reports completions, pipeline-exit times and
 // epoch boundaries — and jumps straight there when that is in the future.
-// Component estimates are conservative (never later than the true next
-// state change), and a skipped cycle is exactly a cycle in which the
-// reference loop's ticks would all have been no-ops, so the two loops
-// produce bit-identical Results. The only per-skipped-cycle effects the
-// reference loop has — stall accounting and the cache-statistics cost of
-// failed dispatch probes — are replayed in bulk.
+// Within an executed cycle it ticks only the cores that are due by their
+// own cached wake time (cpu.Core.Step). Component estimates are
+// conservative (never later than the true next state change), and a
+// skipped tick is exactly one the reference loop would have spent as a
+// no-op, so the two loops produce bit-identical Results. The only effects
+// such a tick has — stall accounting and the cache-statistics cost of a
+// refused dispatch probe — are replayed in bulk when the core next ticks
+// and at every check boundary (cpu.Core.Settle).
 func (s *System) runFast(ctx context.Context) (Results, error) {
 	cycle := s.resumeCycle
 	warm := s.resumeWarm
@@ -357,6 +359,9 @@ func (s *System) runFast(ctx context.Context) (Results, error) {
 	// before the checkpoint was taken).
 	nextCheck := cycle + checkInterval                    // next boundary-check cycle
 	nextTick := (cycle + s.ratio - 1) / s.ratio * s.ratio // next controller tick cycle (multiple of ratio)
+	for _, c := range s.cores {
+		c.ResetSchedule(cycle)
+	}
 
 	for {
 		// Boundary bookkeeping, hoisted to the loop top (the reference
@@ -372,6 +377,11 @@ func (s *System) runFast(ctx context.Context) (Results, error) {
 					return Results{}, ctx.Err()
 				default:
 				}
+			}
+			// Account every skipped core's owed cycles: the state read
+			// and serialized below must match the reference loop's.
+			for _, c := range s.cores {
+				c.Settle(cycle)
 			}
 			if progress != nil {
 				progress(Progress{Cycle: cycle, Committed: s.minCommitted(), Warm: warm != nil})
@@ -409,7 +419,7 @@ func (s *System) runFast(ctx context.Context) (Results, error) {
 		}
 		s.hier.Tick(cycle, now)
 		for _, c := range s.cores {
-			c.Tick(cycle)
+			c.Step(cycle)
 		}
 		cycle++
 
@@ -435,20 +445,13 @@ func (s *System) runFast(ctx context.Context) (Results, error) {
 			continue
 		}
 		// One cancellation check per skip preserves the reference loop's
-		// wall-clock cancellation latency: a skip costs O(cores) work, far
-		// less than the 1024 executed cycles between reference checks.
+		// wall-clock cancellation latency: a skip costs no per-core work,
+		// far less than the 1024 executed cycles between reference checks.
 		if done != nil {
 			select {
 			case <-done:
 				return Results{}, ctx.Err()
 			default:
-			}
-		}
-		skipped := target - cycle
-		for i, c := range s.cores {
-			c.AddStallCycles(skipped)
-			if c.RetryProbesCache() {
-				s.hier.ReplayBlockedProbes(i, skipped)
 			}
 		}
 		cycle = target
@@ -459,22 +462,20 @@ func (s *System) runFast(ctx context.Context) (Results, error) {
 
 // nextEventCycle returns the earliest cycle at or after cycle whose
 // execution could change machine state: the minimum over every component's
-// own conservative estimate. nextTick is the next controller tick cycle;
-// controller events round up to it because they can only be serviced inside
-// a tick.
+// own conservative estimate. Each core's estimate is its cached wake time,
+// re-queried only when stale (cpu.Core.Wake); every core is asked, so the
+// cache stays fresh for the per-core skip in the next executed cycle.
+// nextTick is the next controller tick cycle; controller events round up to
+// it because they can only be serviced inside a tick.
 func (s *System) nextEventCycle(cycle, nextTick int64) int64 {
-	if !s.hier.Quiescent() {
-		return cycle
-	}
 	next := int64(1) << 62
 	for _, c := range s.cores {
-		w := c.NextEventCycle(cycle)
-		if w <= cycle {
-			return cycle
-		}
-		if w < next {
+		if w := c.Wake(cycle); w < next {
 			next = w
 		}
+	}
+	if next <= cycle || !s.hier.Quiescent() {
+		return cycle
 	}
 	if at := s.ctrl.NextEventAt(); at < clock.Infinity {
 		tc := (clock.CyclesCeil(at) + s.ratio - 1) / s.ratio * s.ratio

@@ -8,7 +8,10 @@
 // published character (see Profile and DESIGN.md §2).
 package trace
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Op is the kind of a memory reference in the trace.
 type Op int
@@ -186,8 +189,21 @@ func (r *rng) next() uint64 {
 	return z ^ (z >> 31)
 }
 
-// float returns a uniform value in [0, 1).
-func (r *rng) float() float64 { return float64(r.next()>>11) / (1 << 53) }
+// u53 returns a uniform 53-bit draw k. The float draw k/2⁵³ it stands
+// for is tested against a probability through threshold.
+func (r *rng) u53() uint64 { return r.next() >> 11 }
+
+// threshold returns the integer form of probability p for u53 draws:
+// k/2⁵³ < p holds exactly when k < threshold(p), for every k < 2⁵³. The
+// product p·2⁵³ is exact (a power-of-two scaling), and for an integer k,
+// k < x exactly when k < ⌈x⌉.
+func threshold(p float64) uint64 {
+	x := math.Ceil(p * (1 << 53))
+	if !(x > 0) {
+		return 0
+	}
+	return uint64(min(x, 1<<53))
+}
 
 // intn returns a uniform value in [0, n).
 func (r *rng) intn(n int64) int64 {
@@ -216,10 +232,16 @@ type Synthetic struct {
 	streams  []stream
 	segBytes int64
 
+	// Integer thresholds (see threshold) of the probabilities Next tests:
+	// store, hot, hot-or-stream, dependent, software-prefetched, and a
+	// pointer-chasing load's dependence.
+	storeT, hotT, hotStreamT, depT, swpfT, chaseT uint64
+
 	// drawGap and gapCDF hold the gap distribution (see gap): gapCDF[n] is
-	// the probability of a gap of at most n instructions.
+	// ⌊cdf·2⁵³⌋ for the probability cdf of a gap of at most n
+	// instructions.
 	drawGap bool
-	gapCDF  [maxGap + 1]float64
+	gapCDF  [maxGap + 1]uint64
 
 	// queued prefetch to emit before the upcoming access.
 	pending    Item
@@ -248,14 +270,20 @@ func NewSynthetic(p Profile, core int, seed int64) *Synthetic {
 	if p.HotKB > 0 {
 		g.hotBytes = int64(p.HotKB) << 10
 	}
+	g.storeT = threshold(p.StoreRatio)
+	g.hotT = threshold(p.HotFrac)
+	g.hotStreamT = threshold(p.HotFrac + p.StreamFrac)
+	g.depT = threshold(p.DepFrac)
+	g.swpfT = threshold(p.SWPrefetchCoverage)
+	g.chaseT = threshold(chaseDep)
 	if mean := 1/p.MemRatio - 1; mean > 0 {
 		g.drawGap = true
 		q := 1 / (mean + 1)
 		acc := q
-		g.gapCDF[0] = acc
+		g.gapCDF[0] = cdfFloor(acc)
 		for n := 1; n <= maxGap; n++ {
 			acc += q * pow1mp(q, n)
-			g.gapCDF[n] = acc
+			g.gapCDF[n] = cdfFloor(acc)
 		}
 	}
 	g.streams = make([]stream, p.Streams)
@@ -281,25 +309,29 @@ func (g *Synthetic) Next(it *Item) {
 	}
 	it.Gap = g.gap()
 	it.Op = Load
-	if g.r.float() < g.p.StoreRatio {
+	if g.r.u53() < g.storeT {
 		it.Op = Store
 	}
 
-	x := g.r.float()
+	x := g.r.u53()
 	switch {
-	case x < g.p.HotFrac:
+	case x < g.hotT:
 		it.Addr = g.base + g.r.intn(g.hotBytes)&^7
-		it.Dep = it.Op == Load && g.r.float() < g.p.DepFrac
-	case x < g.p.HotFrac+g.p.StreamFrac:
-		it.Dep = it.Op == Load && g.r.float() < g.p.DepFrac
+		it.Dep = it.Op == Load && g.r.u53() < g.depT
+	case x < g.hotStreamT:
+		it.Dep = it.Op == Load && g.r.u53() < g.depT
 		it.Addr = g.streamRef(it)
 	default:
 		// Pointer-chasing: a random word anywhere in the footprint,
 		// whose address came from the previous load.
 		it.Addr = g.base + g.r.intn(g.foot)&^7
-		it.Dep = it.Op == Load && g.r.float() < 0.85
+		it.Dep = it.Op == Load && g.r.u53() < g.chaseT
 	}
 }
+
+// chaseDep is the probability that a pointer-chasing load depends on the
+// previous load.
+const chaseDep = 0.85
 
 // streamRef advances one stream and possibly schedules a software prefetch
 // to be emitted immediately before the access. Stores walk a dedicated
@@ -318,7 +350,9 @@ func (g *Synthetic) streamRef(it *Item) int64 {
 		g.resetStream(s)
 	}
 	line := addr >> 6
-	if line != s.lastPF && g.p.SWPrefetchCoverage > 0 && g.r.float() < g.p.SWPrefetchCoverage {
+	// swpfT > 0 exactly when the coverage is positive, so a profile
+	// without software prefetching draws nothing here.
+	if line != s.lastPF && g.swpfT > 0 && g.r.u53() < g.swpfT {
 		// New line: emit "prefetch addr + D lines" ahead of the access.
 		s.lastPF = line
 		g.pending = *it
@@ -344,13 +378,17 @@ func (g *Synthetic) gap() int {
 	if !g.drawGap {
 		return 0
 	}
-	u := g.r.float()
+	// cdf < k/2⁵³ holds exactly when ⌊cdf·2⁵³⌋ < k, for an integer k.
+	k := g.r.u53()
 	n := 0
-	for n < maxGap && g.gapCDF[n] < u {
+	for n < maxGap && g.gapCDF[n] < k {
 		n++
 	}
 	return n
 }
+
+// cdfFloor returns ⌊cdf·2⁵³⌋, the integer form of a gap CDF entry.
+func cdfFloor(cdf float64) uint64 { return uint64(math.Floor(cdf * (1 << 53))) }
 
 func pow1mp(p float64, n int) float64 {
 	q := 1 - p

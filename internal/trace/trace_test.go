@@ -301,7 +301,7 @@ func gapLoop(p Profile, r *rng) int {
 }
 
 // TestGapTableMatchesLoop: the tabulated gap distribution holds exactly the
-// loop's running sums, returns the loop's gap for every draw and consumes
+// loop's running sums (as ⌊sum·2⁵³⌋), returns the loop's gap for every draw and consumes
 // the random stream identically, for every profile and for one that draws
 // no gaps.
 func TestGapTableMatchesLoop(t *testing.T) {
@@ -318,8 +318,8 @@ func TestGapTableMatchesLoop(t *testing.T) {
 				if n > 0 {
 					acc += q * pow1mp(q, n)
 				}
-				if g.gapCDF[n] != acc {
-					t.Fatalf("%s: CDF[%d] = %v, loop sum %v", p.Name, n, g.gapCDF[n], acc)
+				if want := uint64(acc * (1 << 53)); g.gapCDF[n] != want {
+					t.Fatalf("%s: CDF[%d] = %d, loop sum %v (⌊·2⁵³⌋ = %d)", p.Name, n, g.gapCDF[n], acc, want)
 				}
 			}
 		}
@@ -331,6 +331,165 @@ func TestGapTableMatchesLoop(t *testing.T) {
 		}
 		if g.r != ref {
 			t.Errorf("%s: table and loop consumed the random stream differently", p.Name)
+		}
+	}
+}
+
+// float returns the uniform value in [0, 1) that a u53 draw stands for:
+// the draw the generator compared against probabilities before they were
+// tabulated as integer thresholds.
+func (r *rng) float() float64 { return float64(r.next()>>11) / (1 << 53) }
+
+// floatSynthetic is the generator as it stood before its probabilities
+// became integer thresholds: every draw is a float compared against the
+// profile's probability, and the gap CDF is a float table. It is the
+// reference the threshold draws must match item for item.
+type floatSynthetic struct {
+	*Synthetic
+	cdf [maxGap + 1]float64
+}
+
+func newFloatSynthetic(p Profile, core int, seed int64) *floatSynthetic {
+	f := &floatSynthetic{Synthetic: NewSynthetic(p, core, seed)}
+	if mean := 1/p.MemRatio - 1; mean > 0 {
+		q := 1 / (mean + 1)
+		acc := q
+		f.cdf[0] = acc
+		for n := 1; n <= maxGap; n++ {
+			acc += q * pow1mp(q, n)
+			f.cdf[n] = acc
+		}
+	}
+	return f
+}
+
+func (f *floatSynthetic) gap() int {
+	if !f.drawGap {
+		return 0
+	}
+	u := f.r.float()
+	n := 0
+	for n < maxGap && f.cdf[n] < u {
+		n++
+	}
+	return n
+}
+
+func (f *floatSynthetic) Next(it *Item) {
+	g := f.Synthetic
+	if g.hasPending {
+		*it = g.pending
+		g.hasPending = false
+		return
+	}
+	it.Gap = f.gap()
+	it.Op = Load
+	if g.r.float() < g.p.StoreRatio {
+		it.Op = Store
+	}
+	x := g.r.float()
+	switch {
+	case x < g.p.HotFrac:
+		it.Addr = g.base + g.r.intn(g.hotBytes)&^7
+		it.Dep = it.Op == Load && g.r.float() < g.p.DepFrac
+	case x < g.p.HotFrac+g.p.StreamFrac:
+		it.Dep = it.Op == Load && g.r.float() < g.p.DepFrac
+		it.Addr = f.streamRef(it)
+	default:
+		it.Addr = g.base + g.r.intn(g.foot)&^7
+		it.Dep = it.Op == Load && g.r.float() < 0.85
+	}
+}
+
+func (f *floatSynthetic) streamRef(it *Item) int64 {
+	g := f.Synthetic
+	var s *stream
+	if nStore := (len(g.streams) + 2) / 3; it.Op == Store {
+		s = &g.streams[g.r.intn(int64(nStore))]
+	} else {
+		s = &g.streams[int64(nStore)+g.r.intn(int64(len(g.streams)-nStore))]
+	}
+	addr := s.pos
+	s.pos += g.p.StrideBytes
+	if s.pos >= s.segEnd {
+		g.resetStream(s)
+	}
+	line := addr >> 6
+	if line != s.lastPF && g.p.SWPrefetchCoverage > 0 && g.r.float() < g.p.SWPrefetchCoverage {
+		s.lastPF = line
+		g.pending = *it
+		g.pending.Addr = g.base + addr
+		g.hasPending = true
+		it.Gap = 0
+		it.Op = Prefetch
+		it.Dep = false
+		return g.base + addr + g.p.PrefetchDistanceLines*64
+	}
+	return g.base + addr
+}
+
+// TestThresholdDrawsMatchFloatCompare: for every profile, a million items
+// from the integer-threshold generator equal the float-compare reference's
+// item for item, and both leave the random stream in the same state.
+func TestThresholdDrawsMatchFloatCompare(t *testing.T) {
+	for _, name := range AllProgramNames() {
+		p := Profiles()[name]
+		g, ref := NewSynthetic(p, 1, 11), newFloatSynthetic(p, 1, 11)
+		var got, want Item
+		for i := 0; i < 1_000_000; i++ {
+			g.Next(&got)
+			ref.Next(&want)
+			if got != want {
+				t.Fatalf("%s: item %d = %+v, float reference %+v", name, i, got, want)
+			}
+		}
+		if g.r != ref.r {
+			t.Errorf("%s: threshold and float draws left the random stream at different states", name)
+		}
+	}
+}
+
+// TestThresholdBoundaries checks each threshold at the two draws around
+// it: k = T-1 must pass the float comparison and k = T must fail it (for
+// a gap CDF entry C, k = C stays at or below the CDF and k = C+1 exceeds
+// it while C+1 is still a 53-bit draw). A profile with zero and unit
+// probabilities covers the ends.
+func TestThresholdBoundaries(t *testing.T) {
+	below := func(k uint64, p float64) bool { return float64(k)/(1<<53) < p }
+	profiles := []Profile{{Name: "ends", MemRatio: 0.5, StoreRatio: 0, HotFrac: 1, Streams: 1}}
+	for _, n := range AllProgramNames() {
+		profiles = append(profiles, Profiles()[n])
+	}
+	for _, p := range profiles {
+		g := NewSynthetic(p, 0, 1)
+		for _, c := range []struct {
+			what string
+			p    float64
+			t    uint64
+		}{
+			{"StoreRatio", p.StoreRatio, g.storeT},
+			{"HotFrac", p.HotFrac, g.hotT},
+			{"HotFrac+StreamFrac", p.HotFrac + p.StreamFrac, g.hotStreamT},
+			{"DepFrac", p.DepFrac, g.depT},
+			{"SWPrefetchCoverage", p.SWPrefetchCoverage, g.swpfT},
+			{"pointer-chase dependence", chaseDep, g.chaseT},
+		} {
+			if c.t > 0 && !below(c.t-1, c.p) {
+				t.Errorf("%s %s: k = T-1 = %d fails k/2⁵³ < %v", p.Name, c.what, c.t-1, c.p)
+			}
+			if c.t < 1<<53 && below(c.t, c.p) {
+				t.Errorf("%s %s: k = T = %d passes k/2⁵³ < %v", p.Name, c.what, c.t, c.p)
+			}
+			if (c.t > 0) != (c.p > 0) {
+				t.Errorf("%s %s: threshold %d for probability %v", p.Name, c.what, c.t, c.p)
+			}
+		}
+		above := func(k uint64, cdf float64) bool { return cdf < float64(k)/(1<<53) }
+		ref := newFloatSynthetic(p, 0, 1)
+		for n, c := range g.gapCDF {
+			if cdf := ref.cdf[n]; above(c, cdf) || c+1 < 1<<53 && !above(c+1, cdf) {
+				t.Errorf("%s: gap CDF[%d] = %d does not split draws at %v", p.Name, n, c, cdf)
+			}
 		}
 	}
 }
