@@ -269,10 +269,15 @@ func compare(w io.Writer, oldDoc, newDoc document, metric string, threshold floa
 		}
 		fmt.Fprintf(w, "%-50s %14.4g %14.4g %+8.1f%s\n", name, ov, nv, delta, mark)
 	}
+	var removed []string
 	for name := range oldBy {
 		if _, ok := newBy[name]; !ok {
-			fmt.Fprintf(w, "%-50s %14s\n", name, "(removed)")
+			removed = append(removed, name)
 		}
+	}
+	sort.Strings(removed)
+	for _, name := range removed {
+		fmt.Fprintf(w, "%-50s %14s\n", name, "(removed)")
 	}
 	return compared, regressed
 }

@@ -102,3 +102,28 @@ func TestCompareCountsRepeatedRunsOnce(t *testing.T) {
 		t.Errorf("table does not show the median 150\n%s", out.String())
 	}
 }
+
+// TestCompareListsRemovedSorted: benchmarks missing from the new document
+// are listed by name, in the same order on every run. Map iteration order
+// varies between runs, so the comparison repeats.
+func TestCompareListsRemovedSorted(t *testing.T) {
+	var oldDoc document
+	for _, name := range []string{"BenchmarkE", "BenchmarkC", "BenchmarkA", "BenchmarkD", "BenchmarkB"} {
+		oldDoc.Results = append(oldDoc.Results, result{Name: name, Iterations: 1, Metrics: map[string]float64{"ns/op": 100}})
+	}
+	newDoc := document{Results: []result{{Name: "BenchmarkC", Iterations: 1, Metrics: map[string]float64{"ns/op": 100}}}}
+	want := []string{"BenchmarkA", "BenchmarkB", "BenchmarkD", "BenchmarkE"}
+	for i := 0; i < 50; i++ {
+		var out bytes.Buffer
+		compare(&out, oldDoc, newDoc, "ns/op", 10)
+		var got []string
+		for _, line := range strings.Split(out.String(), "\n") {
+			if strings.HasSuffix(line, "(removed)") {
+				got = append(got, strings.Fields(line)[0])
+			}
+		}
+		if strings.Join(got, ",") != strings.Join(want, ",") {
+			t.Fatalf("run %d: removed rows %v, want %v\n%s", i, got, want, out.String())
+		}
+	}
+}

@@ -451,23 +451,20 @@ func (r *Run) Execute(ctx context.Context, emit func(sweep.Point)) error {
 	r.parentCtx = ctx
 	r.emit = emit
 
-	if r.spec.Journal != "" {
-		j, replayed, err := sweep.OpenJournal(r.spec.Journal, r.spec.Name, r.fp)
-		if err != nil {
-			return err
-		}
+	j, replayed, err := sweep.Resume(r.spec, r.defs)
+	if err != nil {
+		return err
+	}
+	if j != nil {
 		r.journal = j
 		defer j.Close()
-		// Replay committed points first, in index order, with the same
-		// key-match defense the single-process engine applies.
-		for _, def := range r.defs {
-			if p, ok := replayed[def.Index]; ok && p.Key == def.Key {
-				r.done[def.Index] = true
-				r.completed++
-				r.replayed++
-				emit(p)
-			}
-		}
+	}
+	// Replay committed points first, in index order.
+	for _, p := range replayed {
+		r.done[p.Index] = true
+		r.completed++
+		r.replayed++
+		emit(p)
 	}
 	for _, def := range r.defs {
 		if !r.done[def.Index] {

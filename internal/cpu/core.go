@@ -276,12 +276,12 @@ func (c *Core) canDispatchOp() bool {
 		if c.cur.Dep && !c.lastLoadDone {
 			return false
 		}
-		return c.hier.CanAcceptLoad(c.id, c.cur.Addr)
+		return c.hier.canAccept(c.id, c.cur.Addr)
 	case trace.Store:
 		if c.sqInUse >= c.cfg.SQEntries {
 			return false
 		}
-		return c.hier.CanAcceptStore(c.id, c.cur.Addr)
+		return c.hier.canAccept(c.id, c.cur.Addr)
 	default: // a prefetch (or its NOP stand-in) always dispatches
 		return true
 	}

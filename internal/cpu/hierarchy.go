@@ -492,14 +492,6 @@ func (h *Hierarchy) canAccept(core int, addr int64) bool {
 	return h.l2MSHRInUse < h.cfg.L2MSHRs
 }
 
-// CanAcceptLoad reports whether a load of addr by core would be accepted
-// this cycle (no side effects).
-func (h *Hierarchy) CanAcceptLoad(core int, addr int64) bool { return h.canAccept(core, addr) }
-
-// CanAcceptStore reports whether a store of addr by core would be accepted
-// this cycle (no side effects).
-func (h *Hierarchy) CanAcceptStore(core int, addr int64) bool { return h.canAccept(core, addr) }
-
 // replayBlockedProbes credits the cache statistics of n failed dispatch
 // probes by core: each cycle the reference loop spends in the
 // MSHR-exhaustion retry state performs one missing L1 lookup and one

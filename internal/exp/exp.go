@@ -191,10 +191,10 @@ func (r *Runner) normalize(cfg config.Config, cores int) config.Config {
 	return cfg
 }
 
-// measured runs one simulation behind the global parallelism bound, with
-// wall-time and miss accounting and the AbortAfterPoints kill switch. It is
-// the shared backend of simulate (cycle-accurate) and simulateTier.
-func (r *Runner) measured(ctx context.Context, run func() (system.Results, error)) (system.Results, error) {
+// simulate is the Runner's sweep.RunFunc: one simulation at tier, behind
+// the global parallelism bound, with wall-time and miss accounting and the
+// AbortAfterPoints kill switch.
+func (r *Runner) simulate(ctx context.Context, tier string, cfg config.Config, benchmarks []string) (system.Results, error) {
 	select {
 	case r.sem <- struct{}{}:
 	case <-ctx.Done():
@@ -202,7 +202,7 @@ func (r *Runner) measured(ctx context.Context, run func() (system.Results, error
 	}
 	defer func() { <-r.sem }()
 	start := time.Now()
-	res, err := run()
+	res, err := fidelity.Run(ctx, fidelity.Tier(tier), cfg, benchmarks)
 	r.simNanos.Add(time.Since(start).Nanoseconds())
 	if err != nil {
 		return res, err
@@ -212,21 +212,6 @@ func (r *Runner) measured(ctx context.Context, run func() (system.Results, error
 		r.abortCancel()
 	}
 	return res, nil
-}
-
-// simulate is the Runner's sweep.RunFunc: the cycle-accurate simulator.
-func (r *Runner) simulate(ctx context.Context, cfg config.Config, benchmarks []string) (system.Results, error) {
-	return r.measured(ctx, func() (system.Results, error) {
-		return system.RunWorkloadContext(ctx, cfg, benchmarks)
-	})
-}
-
-// simulateTier is the Runner's sweep.TierRunFunc: the same accounting, but
-// dispatching through the requested fidelity tier.
-func (r *Runner) simulateTier(ctx context.Context, tier string, cfg config.Config, benchmarks []string) (system.Results, error) {
-	return r.measured(ctx, func() (system.Results, error) {
-		return fidelity.Run(ctx, fidelity.Tier(tier), cfg, benchmarks)
-	})
 }
 
 // Run simulates cfg on the benchmark mix, memoized. The Runner's
@@ -247,10 +232,7 @@ func (r *Runner) RunContext(ctx context.Context, cfg config.Config, benchmarks [
 	cfg = r.normalize(cfg, len(benchmarks))
 	key := fidelity.Key(fidelity.Tier(r.opts.Fidelity), cfg, benchmarks)
 	res, hit, err := r.cache.Do(ctx, key, func() (system.Results, error) {
-		if r.opts.Fidelity != "" {
-			return r.simulateTier(ctx, r.opts.Fidelity, cfg, benchmarks)
-		}
-		return r.simulate(ctx, cfg, benchmarks)
+		return r.simulate(ctx, r.opts.Fidelity, cfg, benchmarks)
 	})
 	if hit {
 		r.hits.Inc()
@@ -278,26 +260,23 @@ func (r *Runner) sweep(name string, cfgs []sweep.NamedConfig, ws []workload.Work
 		spec.Journal = filepath.Join(r.opts.Journal,
 			fmt.Sprintf("%s-%.12s.ndjson", name, spec.Fingerprint()))
 	}
-	eng, err := sweep.New(spec, sweep.Options{Run: r.simulate, RunTier: r.simulateTier, Cache: r.cache})
+	eng, err := sweep.New(spec, sweep.Options{Run: r.simulate, Cache: r.cache})
 	if err != nil {
 		return nil, err
 	}
-	ch, err := eng.Start(r.abortCtx)
-	if err != nil {
-		return nil, err
-	}
-	pts := sweep.Collect(ch)
+	pts := make([]sweep.Point, eng.Total())
+	err = eng.Execute(r.abortCtx, func(p sweep.Point) { pts[p.Index] = p })
 	r.hits.Add(int64(eng.Progress().CacheHits))
 	for _, p := range pts {
 		if p.Err != "" {
-			return pts, fmt.Errorf("exp: sweep %s point %s/%s: %s", name, p.Config, p.Workload, p.Err)
+			return nil, fmt.Errorf("exp: sweep %s point %s/%s: %s", name, p.Config, p.Workload, p.Err)
 		}
 	}
-	if len(pts) < eng.Total() {
-		if r.abortCtx.Err() != nil {
-			return pts, ErrAborted
-		}
-		return pts, fmt.Errorf("exp: sweep %s incomplete: %d of %d points", name, len(pts), eng.Total())
+	if err != nil && r.abortCtx.Err() != nil {
+		return nil, ErrAborted
+	}
+	if err != nil {
+		return nil, fmt.Errorf("exp: sweep %s: %w", name, err)
 	}
 	return pts, nil
 }

@@ -41,9 +41,6 @@ const (
 	Analytic Tier = "analytic"
 )
 
-// Tiers lists the valid tiers, cheapest last (display and flag help).
-func Tiers() []Tier { return []Tier{CycleAccurate, Sampled, Analytic} }
-
 // Parse maps a wire string to a Tier. The empty string is cycle-accurate
 // (the backward-compatible default); anything else unknown is an error.
 func Parse(s string) (Tier, error) {

@@ -144,10 +144,6 @@ func New(cfg *config.Mem) *Controller {
 	return c
 }
 
-// Mapper exposes the address mapper (the cache hierarchy aligns addresses
-// with it).
-func (c *Controller) Mapper() *addrmap.Mapper { return c.mapper }
-
 // SetRecorder attaches (or, with nil, detaches) a memtrace recorder. Call
 // before simulation starts; the recorder is not safe for concurrent use.
 func (c *Controller) SetRecorder(r *memtrace.Recorder) { c.rec = r }

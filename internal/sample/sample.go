@@ -409,28 +409,6 @@ func combine(ws []system.Results) system.Results {
 	return out
 }
 
-// batchMeansCI returns the sample mean of the per-window IPC observations
-// and the half-width of the 95% batch-means confidence interval
-// (t_{n-1} × s/√n). Windows are the batches; with the long functional spans
-// between them, window means are close to independent.
-func batchMeansCI(xs []float64) (mean, half float64) {
-	n := len(xs)
-	for _, x := range xs {
-		mean += x
-	}
-	mean /= float64(n)
-	if n < 2 {
-		return mean, 0
-	}
-	var ss float64
-	for _, x := range xs {
-		d := x - mean
-		ss += d * d
-	}
-	s := math.Sqrt(ss / float64(n-1))
-	return mean, tValue(n-1) * s / math.Sqrt(float64(n))
-}
-
 // tValue returns the two-sided 95% Student-t critical value for df degrees
 // of freedom (interpolation-free lookup; large df converges to 1.96).
 func tValue(df int) float64 {
@@ -454,16 +432,6 @@ func sumOf(xs []int64) int64 {
 		s += x
 	}
 	return s
-}
-
-func minOf(xs []int64) int64 {
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
 }
 
 func maxOf(xs []int64) int64 {

@@ -317,10 +317,7 @@ func (s *Server) handleClusterExecute(w http.ResponseWriter, r *http.Request) {
 			p, _, err := sweep.ExecPoint(s.baseCtx, s.cache, def, func() (system.Results, error) {
 				release := s.leaderSlot(s.baseCtx, def.Key, tenantFlow, tenant.weight())
 				defer release()
-				if def.Fidelity != "" {
-					return s.opts.RunTier(s.baseCtx, def.Fidelity, def.Cfg, def.Benchmarks)
-				}
-				return s.opts.Run(s.baseCtx, def.Cfg, def.Benchmarks)
+				return s.run(s.baseCtx, def.Fidelity, def.Cfg, def.Benchmarks)
 			})
 			if err != nil {
 				return // shutdown cancelled the run: emit nothing, journal nothing

@@ -15,6 +15,7 @@ import (
 
 	"fbdsim/internal/cluster"
 	"fbdsim/internal/config"
+	"fbdsim/internal/fidelity"
 	"fbdsim/internal/sweep"
 	"fbdsim/internal/system"
 	"fbdsim/pkg/fbdclient"
@@ -239,7 +240,7 @@ func TestClusterExecuteValidation(t *testing.T) {
 		t.Errorf("key-mismatch lease = %d, want 400", status)
 	}
 
-	def.Key = sweep.Key(cfg, def.Benchmarks)
+	def.Key = fidelity.Key("", cfg, def.Benchmarks)
 	def.Benchmarks = []string{"no-such-benchmark"}
 	status, _ = postLease(t, ts, fbdclient.Lease{ID: "l3", Sweep: "s", Points: []sweep.PointDef{def}})
 	if status != http.StatusBadRequest {
@@ -262,7 +263,7 @@ func TestClusterExecuteJournalReplay(t *testing.T) {
 			c.Seed = seed
 			lease.Points = append(lease.Points, sweep.PointDef{
 				Index: i, Config: "fbd", Workload: "swim", Seed: seed,
-				Cfg: c, Benchmarks: []string{"swim"}, Key: sweep.Key(c, []string{"swim"}),
+				Cfg: c, Benchmarks: []string{"swim"}, Key: fidelity.Key("", c, []string{"swim"}),
 			})
 		}
 		return lease

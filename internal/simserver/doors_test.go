@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"fbdsim/internal/config"
+	"fbdsim/internal/fidelity"
 	"fbdsim/internal/sweep"
 	"fbdsim/internal/system"
 	"fbdsim/pkg/fbdclient"
@@ -113,7 +114,7 @@ func TestPanicFailsOnlyItsDoor(t *testing.T) {
 			cfg.CPU.Cores = 1
 			def := sweep.PointDef{
 				Config: "fbd", Workload: "swim", Seed: poison,
-				Cfg: cfg, Benchmarks: []string{"swim"}, Key: sweep.Key(cfg, []string{"swim"}),
+				Cfg: cfg, Benchmarks: []string{"swim"}, Key: fidelity.Key("", cfg, []string{"swim"}),
 			}
 			status, pts := postLease(t, ts, fbdclient.Lease{ID: "l1", Sweep: "s", Points: []sweep.PointDef{def}})
 			if status != http.StatusOK || len(pts) != 1 {

@@ -143,9 +143,10 @@ type Options struct {
 	Telemetry telemetry.Options
 	// Run overrides the simulation function (tests).
 	Run RunFunc
-	// RunTier overrides the estimate-tier executor (tests). Jobs and
-	// sweep points submitted with "fidelity": "sampled" or "analytic" go
-	// through it; everything else goes through Run.
+	// RunTier overrides the estimate-tier executor (tests; default
+	// fidelity.Run). Jobs and sweep points submitted with "fidelity":
+	// "sampled" or "analytic" go through it; everything else goes
+	// through Run.
 	RunTier TierRunFunc
 	// FastWorkers is the size of the dedicated pool draining the
 	// fast lane — the queue analytic jobs are admitted to, so a
@@ -209,11 +210,6 @@ func (o Options) norm() Options {
 	}
 	if o.Run == nil {
 		o.Run = system.RunWorkloadContext
-	}
-	if o.RunTier == nil {
-		o.RunTier = func(ctx context.Context, tier string, cfg config.Config, benchmarks []string) (system.Results, error) {
-			return fidelity.Run(ctx, fidelity.Tier(tier), cfg, benchmarks)
-		}
 	}
 	if o.FastWorkers <= 0 {
 		o.FastWorkers = 1
@@ -643,15 +639,7 @@ func (s *Server) simulate(ctx context.Context, j *job) (system.Results, error) {
 		j.mu.Lock()
 		j.attempts++
 		j.mu.Unlock()
-		var (
-			res system.Results
-			err error
-		)
-		if j.fidelity != "" {
-			res, err = s.opts.RunTier(ctx, j.fidelity, j.cfg, j.benchmarks)
-		} else {
-			res, err = s.opts.Run(ctx, j.cfg, j.benchmarks)
-		}
+		res, err := s.run(ctx, j.fidelity, j.cfg, j.benchmarks)
 		if err == nil || attempt > j.retries || !retryable(err) {
 			return res, err
 		}
@@ -660,6 +648,20 @@ func (s *Server) simulate(ctx context.Context, j *job) (system.Results, error) {
 			return system.Results{}, ctx.Err()
 		}
 	}
+}
+
+// run executes one simulation at tier: cycle-accurate ("") through
+// Options.Run, sampled and analytic through Options.RunTier (default
+// fidelity.Run). It is the one place the server picks between them; jobs,
+// sweep points and lease points all run through it.
+func (s *Server) run(ctx context.Context, tier string, cfg config.Config, benchmarks []string) (system.Results, error) {
+	switch {
+	case tier == "":
+		return s.opts.Run(ctx, cfg, benchmarks)
+	case s.opts.RunTier != nil:
+		return s.opts.RunTier(ctx, tier, cfg, benchmarks)
+	}
+	return fidelity.Run(ctx, fidelity.Tier(tier), cfg, benchmarks)
 }
 
 // Shutdown stops intake, then waits for queued and running jobs to drain.

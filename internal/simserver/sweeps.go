@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"fbdsim/internal/cluster"
 	"fbdsim/internal/config"
 	"fbdsim/internal/fidelity"
 	"fbdsim/internal/sweep"
@@ -96,9 +95,17 @@ type sweepView struct {
 	WallMS float64 `json:"wall_ms,omitempty"`
 }
 
+// sweepExecutor is the shape both sweep executors share — the local
+// sweep.Engine and a coordinator's cluster.Run — so one path submits,
+// registers and drives either.
+type sweepExecutor interface {
+	Total() int
+	Progress() sweep.Progress
+	Execute(ctx context.Context, emit func(sweep.Point)) error
+}
+
 // sweepJob is one tracked sweep — locally engine-run or cluster-leased —
-// plus its accumulated points. progress abstracts over the two executors
-// (sweep.Engine.Progress or cluster.Run.Progress).
+// plus its accumulated points.
 type sweepJob struct {
 	id          string
 	name        string
@@ -107,8 +114,7 @@ type sweepJob struct {
 	// tenantRef is the live record for quota release at terminal time.
 	tenant    string
 	tenantRef *Tenant
-	total     int
-	progress  func() sweep.Progress
+	exec      sweepExecutor
 	cancel    context.CancelFunc
 	done      chan struct{} // closed on terminal transition
 
@@ -125,13 +131,13 @@ type sweepJob struct {
 	finished time.Time
 }
 
-func newSweepJob(id string, spec sweep.Spec, total int, progress func() sweep.Progress, cancel context.CancelFunc, stream *telemetry.Stream) *sweepJob {
+func newSweepJob(id string, spec sweep.Spec, exec sweepExecutor, tenant *Tenant, cancel context.CancelFunc, stream *telemetry.Stream) *sweepJob {
 	sj := &sweepJob{
 		id:          id,
 		name:        spec.Name,
 		fingerprint: spec.Fingerprint(),
-		total:       total,
-		progress:    progress,
+		tenantRef:   tenant,
+		exec:        exec,
 		cancel:      cancel,
 		done:        make(chan struct{}),
 		stream:      stream,
@@ -139,19 +145,13 @@ func newSweepJob(id string, spec sweep.Spec, total int, progress func() sweep.Pr
 		started:     time.Now(),
 	}
 	sj.cond = sync.NewCond(&sj.mu)
+	if tenant != nil {
+		sj.tenant = tenant.Name
+	}
 	if stream != nil {
 		stream.PublishState(string(StateRunning))
 	}
 	return sj
-}
-
-// setTenant stamps the sweep's owner before it is published in s.sweeps.
-func (sj *sweepJob) setTenant(t *Tenant) {
-	if t == nil {
-		return
-	}
-	sj.tenant = t.Name
-	sj.tenantRef = t
 }
 
 func (sj *sweepJob) view() sweepView {
@@ -164,7 +164,7 @@ func (sj *sweepJob) view() sweepView {
 		Class:       classNames[classBatch],
 		Tenant:      sj.tenant,
 		Fingerprint: sj.fingerprint,
-		Progress:    sj.progress(),
+		Progress:    sj.exec.Progress(),
 		Points:      len(sj.points),
 		Error:       sj.errMsg,
 	}
@@ -294,33 +294,7 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	if !s.chargeTenant(w, tenant) {
 		return
 	}
-	if s.opts.Coordinator != nil {
-		s.submitClusterSweep(w, spec, tenant)
-		return
-	}
-	// Every grid point that leads its flight borrows a worker slot through
-	// the fair-share scheduler at batch priority before simulating, so a
-	// 10k-point sweep shares the same arbiter as interactive jobs instead
-	// of oversubscribing the host from its private pool. Cache hits and
-	// coalesced points inside the engine's single-flight never reach these
-	// wrappers.
-	flow := defaultTenant
-	if tenant != nil {
-		flow = tenant.Name
-	}
-	eng, err := sweep.New(spec, sweep.Options{
-		Run: func(ctx context.Context, cfg config.Config, benchmarks []string) (system.Results, error) {
-			release := s.leaderSlot(ctx, sweep.Key(cfg, benchmarks), flow, tenant.weight())
-			defer release()
-			return s.opts.Run(ctx, cfg, benchmarks)
-		},
-		RunTier: func(ctx context.Context, tier string, cfg config.Config, benchmarks []string) (system.Results, error) {
-			release := s.leaderSlot(ctx, fidelity.Key(fidelity.Tier(tier), cfg, benchmarks), flow, tenant.weight())
-			defer release()
-			return s.opts.RunTier(ctx, tier, cfg, benchmarks)
-		},
-		Cache: s.cache,
-	})
+	exec, spec, err := s.newSweepExecutor(spec, tenant)
 	if err != nil {
 		tenant.release()
 		writeError(w, http.StatusBadRequest, codeBadRequest, "%v", err)
@@ -335,44 +309,57 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ctx, cancel := context.WithCancel(s.baseCtx)
-	ch, err := eng.Start(ctx)
-	if err != nil {
-		s.mu.Unlock()
-		cancel()
-		tenant.release()
-		writeError(w, http.StatusInternalServerError, codeInternal, "starting sweep: %v", err)
-		return
-	}
 	s.nextSweepID++
 	id := fmt.Sprintf("sweep-%d", s.nextSweepID)
-	sj := newSweepJob(id, spec, eng.Total(), eng.Progress, cancel, s.hub.Open(id))
-	sj.setTenant(tenant)
+	sj := newSweepJob(id, spec, exec, tenant, cancel, s.hub.Open(id))
 	s.sweeps[sj.id] = sj
 	s.sweepWG.Add(1)
 	s.mu.Unlock()
 
 	s.metrics.SweepsAccepted.Inc()
 	s.countAccepted(tenant)
-	s.log.Info("sweep accepted", "sweep_id", sj.id, "name", sj.name,
-		"points", eng.Total(), "tenant", sj.tenant)
-	go s.drainSweep(sj, ctx, ch)
+	s.log.Info("sweep accepted", "sweep_id", sj.id, "name", sj.name, "role", s.opts.Role,
+		"points", exec.Total(), "journal", spec.Journal, "tenant", sj.tenant)
+	go s.driveSweep(sj, ctx)
 	writeJSON(w, http.StatusAccepted, sj.view())
 }
 
-// submitClusterSweep admits a sweep in coordinator role: instead of the
-// local engine, a cluster.Run leases the grid out to registered workers.
-// When journaling is configured the run checkpoints to a per-fingerprint
-// journal, so a restarted coordinator resubmitting the same sweep replays
-// finished points and leases out only the remainder.
-func (s *Server) submitClusterSweep(w http.ResponseWriter, spec sweep.Spec, tenant *Tenant) {
+// newSweepExecutor builds the executor of an admitted sweep and returns it
+// with the spec it runs.
+//
+// Locally, a sweep.Engine runs the grid. Every grid point that leads its
+// flight borrows a worker slot through the fair-share scheduler at batch
+// priority before simulating, so a 10k-point sweep shares the same arbiter
+// as interactive jobs instead of oversubscribing the host from its private
+// pool. Cache hits and coalesced points inside the engine's single-flight
+// never reach the run wrapper.
+//
+// In coordinator role, a cluster.Run leases the grid out to registered
+// workers instead. When journaling is configured the run checkpoints to a
+// per-fingerprint journal, so a restarted coordinator resubmitting the same
+// sweep replays finished points and leases out only the remainder.
+func (s *Server) newSweepExecutor(spec sweep.Spec, tenant *Tenant) (sweepExecutor, sweep.Spec, error) {
+	if s.opts.Coordinator == nil {
+		flow := defaultTenant
+		if tenant != nil {
+			flow = tenant.Name
+		}
+		eng, err := sweep.New(spec, sweep.Options{
+			Run: func(ctx context.Context, tier string, cfg config.Config, benchmarks []string) (system.Results, error) {
+				release := s.leaderSlot(ctx, fidelity.Key(fidelity.Tier(tier), cfg, benchmarks), flow, tenant.weight())
+				defer release()
+				return s.run(ctx, tier, cfg, benchmarks)
+			},
+			Cache: s.cache,
+		})
+		return eng, spec, err
+	}
 	if s.opts.JournalDir != "" {
 		spec.Journal = filepath.Join(s.opts.JournalDir, "sweep-"+shortFP(spec.Fingerprint())+".ndjson")
 	}
 	run, err := s.opts.Coordinator.NewRun(spec)
 	if err != nil {
-		tenant.release()
-		writeError(w, http.StatusBadRequest, codeBadRequest, "%v", err)
-		return
+		return nil, spec, err
 	}
 	// Tenant identity rides the leases to the workers: every lease minted
 	// for this run carries the owner's name, so worker-side telemetry and
@@ -380,37 +367,16 @@ func (s *Server) submitClusterSweep(w http.ResponseWriter, spec sweep.Spec, tena
 	if tenant != nil {
 		run.Tenant = tenant.Name
 	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		tenant.release()
-		writeError(w, http.StatusServiceUnavailable, codeShuttingDown, "server is shutting down")
-		return
-	}
-	ctx, cancel := context.WithCancel(s.baseCtx)
-	s.nextSweepID++
-	id := fmt.Sprintf("sweep-%d", s.nextSweepID)
-	sj := newSweepJob(id, spec, run.Total(), run.Progress, cancel, s.hub.Open(id))
-	sj.setTenant(tenant)
-	s.sweeps[sj.id] = sj
-	s.sweepWG.Add(1)
-	s.mu.Unlock()
-
-	s.metrics.SweepsAccepted.Inc()
-	s.countAccepted(tenant)
-	s.log.Info("cluster sweep accepted", "sweep_id", sj.id, "name", sj.name,
-		"points", run.Total(), "journal", spec.Journal, "tenant", sj.tenant)
-	go s.driveClusterSweep(sj, ctx, run)
-	writeJSON(w, http.StatusAccepted, sj.view())
+	return run, spec, nil
 }
 
-// driveClusterSweep runs one leased sweep to completion and settles its
-// terminal state. Points arrive concurrently from lease dispatch
-// goroutines; appending under sj.mu keeps pollers, followers and SSE
+// driveSweep runs one sweep to completion and settles its terminal state.
+// Points may arrive concurrently (engine workers, lease dispatch
+// goroutines); appending under sj.mu keeps pollers, followers and SSE
 // consumers consistent.
-func (s *Server) driveClusterSweep(sj *sweepJob, ctx context.Context, run *cluster.Run) {
+func (s *Server) driveSweep(sj *sweepJob, ctx context.Context) {
 	defer s.sweepWG.Done()
-	err := run.Execute(ctx, func(p sweep.Point) { s.addPoint(sj, p) })
+	err := sj.exec.Execute(ctx, func(p sweep.Point) { s.addPoint(sj, p) })
 	switch {
 	case err == nil:
 		s.metrics.SweepsCompleted.Inc()
@@ -425,7 +391,7 @@ func (s *Server) driveClusterSweep(sj *sweepJob, ctx context.Context, run *clust
 		sj.finish(StateFailed, err.Error())
 	}
 	v := sj.view()
-	s.log.Info("cluster sweep finished", "sweep_id", sj.id, "state", v.State,
+	s.log.Info("sweep finished", "sweep_id", sj.id, "state", v.State,
 		"points", v.Points, "error", v.Error)
 }
 
@@ -443,32 +409,6 @@ func (s *Server) addPoint(sj *sweepJob, p sweep.Point) {
 			sj.stream.PublishPoint(data)
 		}
 	}
-}
-
-// drainSweep accumulates the engine's point stream into the sweep record
-// and settles its terminal state once the stream closes.
-func (s *Server) drainSweep(sj *sweepJob, ctx context.Context, ch <-chan sweep.Point) {
-	defer s.sweepWG.Done()
-	emitted := 0
-	for p := range ch {
-		s.addPoint(sj, p)
-		emitted++
-	}
-	// The engine emits one point per grid slot (failed points carry Err);
-	// anything short means cancellation stopped dispatch.
-	if emitted == sj.total {
-		s.metrics.SweepsCompleted.Inc()
-		sj.finish(StateDone, "")
-		s.log.Info("sweep finished", "sweep_id", sj.id, "state", string(StateDone), "points", emitted)
-		return
-	}
-	s.metrics.SweepsCancelled.Inc()
-	msg := context.Canceled.Error()
-	if err := ctx.Err(); err != nil {
-		msg = err.Error()
-	}
-	sj.finish(StateCancelled, msg)
-	s.log.Info("sweep finished", "sweep_id", sj.id, "state", string(StateCancelled), "points", emitted)
 }
 
 func (s *Server) lookupSweep(id string) *sweepJob {

@@ -69,9 +69,9 @@ var (
 
 // Fingerprint returns the canonical identity hash of one simulation: a
 // SHA-256 over the JSON encodings of the full configuration and the
-// benchmark list. It is the same canonicalization as the sweep engine's
-// result-cache key (sweep.Key delegates here), so a snapshot's identity and
-// the sweep/job identity of the run that produced it always agree.
+// benchmark list. It is also the cycle-accurate result-cache key
+// (fidelity.Key returns it untagged), so a snapshot's identity and the
+// sweep/job identity of the run that produced it always agree.
 func Fingerprint(cfg config.Config, benchmarks []string) string {
 	h := sha256.New()
 	enc := json.NewEncoder(h)

@@ -275,8 +275,9 @@ func TestEncoderFailRefusesFile(t *testing.T) {
 	}
 }
 
-// TestFingerprintSensitivity: the identity hash moves with any config or
-// workload change and is stable across calls.
+// TestFingerprintSensitivity: the identity hash — also the result-cache key
+// of every cycle-accurate job, sweep point and lease point — moves with any
+// config or workload change and is stable across calls.
 func TestFingerprintSensitivity(t *testing.T) {
 	cfg := config.Default()
 	bench := []string{"swim", "applu"}
@@ -284,13 +285,26 @@ func TestFingerprintSensitivity(t *testing.T) {
 	if a != Fingerprint(cfg, bench) {
 		t.Fatalf("fingerprint not deterministic")
 	}
-	cfg2 := cfg
-	cfg2.Seed++
-	if Fingerprint(cfg2, bench) == a {
-		t.Errorf("seed change did not move the fingerprint")
+	if len(a) != 64 {
+		t.Errorf("fingerprint length = %d, want 64 hex chars", len(a))
 	}
-	if Fingerprint(cfg, []string{"applu", "swim"}) == a {
-		t.Errorf("benchmark order change did not move the fingerprint")
+	seed, budget := cfg, cfg
+	seed.Seed++
+	budget.MaxInsts = 123
+	for _, v := range []struct {
+		name  string
+		other string
+	}{
+		{"seed", Fingerprint(seed, bench)},
+		{"budget", Fingerprint(budget, bench)},
+		{"config knob", Fingerprint(config.WithAMBPrefetch(cfg), bench)},
+		{"benchmark order", Fingerprint(cfg, []string{"applu", "swim"})},
+		{"benchmark subset", Fingerprint(cfg, []string{"swim"})},
+		{"benchmark name", Fingerprint(cfg, []string{"mgrid", "applu"})},
+	} {
+		if v.other == a {
+			t.Errorf("%s change did not move the fingerprint", v.name)
+		}
 	}
 }
 

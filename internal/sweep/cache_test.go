@@ -9,24 +9,31 @@ import (
 	"testing"
 
 	"fbdsim/internal/config"
+	"fbdsim/internal/fidelity"
 	"fbdsim/internal/system"
 )
 
+// TestKeyDistinguishesInputs: the key a sweep point is cached and journaled
+// under (fidelity.Key at the cycle-accurate tier) is deterministic and moves
+// with the seed, the benchmark and the benchmark order.
 func TestKeyDistinguishesInputs(t *testing.T) {
+	key := func(cfg config.Config, benchmarks []string) string {
+		return fidelity.Key(fidelity.CycleAccurate, cfg, benchmarks)
+	}
 	base := config.Default()
 	other := base
 	other.Seed = base.Seed + 1
-	k1 := Key(base, []string{"swim"})
-	if k1 != Key(base, []string{"swim"}) {
+	k1 := key(base, []string{"swim"})
+	if k1 != key(base, []string{"swim"}) {
 		t.Fatal("key not deterministic")
 	}
-	if k1 == Key(other, []string{"swim"}) {
+	if k1 == key(other, []string{"swim"}) {
 		t.Fatal("seed change did not change key")
 	}
-	if k1 == Key(base, []string{"mgrid"}) {
+	if k1 == key(base, []string{"mgrid"}) {
 		t.Fatal("benchmark change did not change key")
 	}
-	if Key(base, []string{"swim", "mgrid"}) == Key(base, []string{"mgrid", "swim"}) {
+	if key(base, []string{"swim", "mgrid"}) == key(base, []string{"mgrid", "swim"}) {
 		t.Fatal("benchmark order did not change key")
 	}
 }

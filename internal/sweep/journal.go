@@ -132,6 +132,29 @@ func OpenJournal(path, name, fingerprint string) (*Journal, map[int]Point, error
 	return j, points, nil
 }
 
+// Resume opens spec's journal, when the spec names one, and returns it with
+// the journaled points that still match their grid slot in defs (the
+// spec's expansion, see Spec.Points), in index order. The key match is a
+// defense in depth behind the fingerprint check. Both sweep executors —
+// Engine and a cluster coordinator's run — resume through it. A nil
+// Journal means checkpointing is off.
+func Resume(spec Spec, defs []PointDef) (*Journal, []Point, error) {
+	if spec.Journal == "" {
+		return nil, nil, nil
+	}
+	j, journaled, err := OpenJournal(spec.Journal, spec.Name, spec.Fingerprint())
+	if err != nil {
+		return nil, nil, err
+	}
+	var replayed []Point
+	for _, def := range defs {
+		if p, ok := journaled[def.Index]; ok && p.Key == def.Key {
+			replayed = append(replayed, p)
+		}
+	}
+	return j, replayed, nil
+}
+
 // Append checkpoints one completed point. Journal failures are deliberately
 // non-fatal to the sweep — the point was computed and is emitted either
 // way; the worst outcome of a failed append is recomputation on resume.

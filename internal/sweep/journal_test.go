@@ -18,11 +18,11 @@ func runJournaled(t *testing.T, spec Spec, path string) []Point {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	ch, err := eng.Start(context.Background())
+	pts, err := collect(context.Background(), eng)
 	if err != nil {
-		t.Fatalf("Start: %v", err)
+		t.Fatalf("Execute: %v", err)
 	}
-	return Collect(ch)
+	return pts
 }
 
 // A writer that dies mid-record after earlier fsynced appends leaves a

@@ -25,7 +25,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -35,10 +34,11 @@ import (
 	"fbdsim/internal/workload"
 )
 
-// RunFunc executes one simulation. The default is the real simulator
-// (system.RunWorkloadContext); tests and embedding servers substitute fakes
-// or instrumented wrappers.
-type RunFunc func(ctx context.Context, cfg config.Config, benchmarks []string) (system.Results, error)
+// RunFunc executes one simulation at a fidelity tier ("" is
+// cycle-accurate, else "sampled" or "analytic"). The default is
+// fidelity.Run, which dispatches every tier; tests and embedding servers
+// substitute fakes or instrumented wrappers.
+type RunFunc func(ctx context.Context, tier string, cfg config.Config, benchmarks []string) (system.Results, error)
 
 // NamedConfig is one configuration dimension value of a sweep grid.
 type NamedConfig struct {
@@ -210,7 +210,7 @@ type Point struct {
 	Workload string `json:"workload"`
 	Seed     int64  `json:"seed"`
 	// Key is the canonical result-cache key of the point's resolved
-	// configuration (see Key); tier-tagged for estimate points.
+	// configuration (see fidelity.Key); tier-tagged for estimate points.
 	Key string `json:"key"`
 	// Fidelity is the tier the point ran at ("" = cycle-accurate, the
 	// only value pre-fidelity journals contain).
@@ -292,33 +292,24 @@ type Progress struct {
 	Warmups int `json:"warmups"`
 }
 
-// TierRunFunc executes one estimate-tier simulation (tier is "sampled" or
-// "analytic"). The default is fidelity.Run.
-type TierRunFunc func(ctx context.Context, tier string, cfg config.Config, benchmarks []string) (system.Results, error)
-
 // Options carries the execution dependencies a Spec deliberately excludes.
 type Options struct {
-	// Run overrides the simulation function (default: the real
-	// simulator, system.RunWorkloadContext).
+	// Run overrides the simulation function of every point, whatever
+	// its tier (default: fidelity.Run).
 	Run RunFunc
-	// RunTier overrides the executor of sampled/analytic points
-	// (default: fidelity.Run). Cycle-accurate points always go through
-	// Run.
-	RunTier TierRunFunc
 	// Cache is a shared single-flight result cache; nil builds a
 	// private unbounded one. Sharing the serving cache lets sweep
 	// points and job submissions deduplicate against each other.
 	Cache *Cache
 }
 
-// Engine executes one sweep spec. Build with New, start with Start, watch
+// Engine executes one sweep spec. Build with New, run with Execute, watch
 // with Progress.
 type Engine struct {
-	spec    Spec
-	run     RunFunc
-	runTier TierRunFunc
-	cache   *Cache
-	defs    []PointDef
+	spec  Spec
+	run   RunFunc
+	cache *Cache
+	defs  []PointDef
 
 	completed atomic.Int64
 	failed    atomic.Int64
@@ -339,11 +330,7 @@ func New(spec Spec, opts Options) (*Engine, error) {
 	}
 	run := opts.Run
 	if run == nil {
-		run = system.RunWorkloadContext
-	}
-	runTier := opts.RunTier
-	if runTier == nil {
-		runTier = func(ctx context.Context, tier string, cfg config.Config, benchmarks []string) (system.Results, error) {
+		run = func(ctx context.Context, tier string, cfg config.Config, benchmarks []string) (system.Results, error) {
 			return fidelity.Run(ctx, fidelity.Tier(tier), cfg, benchmarks)
 		}
 	}
@@ -354,7 +341,6 @@ func New(spec Spec, opts Options) (*Engine, error) {
 	return &Engine{
 		spec:       spec,
 		run:        run,
-		runTier:    runTier,
 		cache:      cache,
 		defs:       spec.Points(),
 		warmGroups: make(map[string]*warmupGroup),
@@ -376,101 +362,79 @@ func (e *Engine) Progress() Progress {
 	}
 }
 
-// Start launches the sweep and returns the point stream. Points restored
-// from the journal are emitted first (in index order), then fresh points
-// in completion order; the channel closes once every shard has been
-// executed, failed or skipped because ctx was cancelled. Start may be
-// called once per Engine.
+// Execute runs the sweep, calling emit once per grid point: points
+// restored from the journal first, in index order, then fresh points in
+// completion order. emit may be called concurrently from the engine's
+// worker goroutines. Execute returns nil once every grid point has been
+// emitted, failed points included; otherwise it returns ctx.Err(), or the
+// error that kept the journal from opening. It may be called once per
+// Engine.
 //
 // Cancelling ctx stops dispatch and cancels in-flight simulations through
 // the simulator's context plumbing; cancelled points are not emitted and
 // not journaled, so a later run resumes them cleanly.
-func (e *Engine) Start(ctx context.Context) (<-chan Point, error) {
+func (e *Engine) Execute(ctx context.Context, emit func(Point)) error {
 	if e.started.Swap(true) {
-		return nil, errors.New("sweep: engine already started")
+		return errors.New("sweep: engine already started")
 	}
-
-	var (
-		j        *Journal
-		replayed map[int]Point
-		err      error
-	)
-	if e.spec.Journal != "" {
-		j, replayed, err = OpenJournal(e.spec.Journal, e.spec.Name, e.spec.Fingerprint())
-		if err != nil {
-			return nil, err
-		}
+	j, replayed, err := Resume(e.spec, e.defs)
+	if err != nil {
+		return err
 	}
-	// Keep only replayed points whose key still matches its grid slot —
-	// a defense in depth behind the fingerprint check.
-	byIndex := make(map[int]Point, len(replayed))
-	for _, def := range e.defs {
-		if p, ok := replayed[def.Index]; ok && p.Key == def.Key {
-			byIndex[def.Index] = p
-		}
+	if j != nil {
+		defer j.Close()
+	}
+	// Replayed points seed the result cache so dependent reads (figure
+	// aggregation, job submissions) hit instead of re-simulating.
+	skip := make([]bool, len(e.defs))
+	for _, p := range replayed {
+		e.cache.Put(p.Key, p.Results)
+		e.replayed.Add(1)
+		e.completed.Add(1)
+		skip[p.Index] = true
+		emit(p)
 	}
 
 	parallel := e.spec.Parallel
 	if parallel <= 0 {
 		parallel = runtime.GOMAXPROCS(0)
 	}
-
-	// Buffered to the grid size: workers never block on a slow or
-	// abandoned consumer, and an abandoned sweep still drains, journals
-	// and terminates.
-	out := make(chan Point, len(e.defs))
-
-	go func() {
-		defer close(out)
-		if j != nil {
-			defer j.Close()
-		}
-
-		// Replay journaled points first, in index order, and seed the
-		// result cache so dependent reads (figure aggregation, job
-		// submissions) hit instead of re-simulating.
-		indices := make([]int, 0, len(byIndex))
-		for idx := range byIndex {
-			indices = append(indices, idx)
-		}
-		sort.Ints(indices)
-		for _, idx := range indices {
-			p := byIndex[idx]
-			e.cache.Put(p.Key, p.Results)
-			e.replayed.Add(1)
-			e.completed.Add(1)
-			out <- p
-		}
-
-		work := make(chan PointDef)
-		var wg sync.WaitGroup
-		for i := 0; i < parallel; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for def := range work {
-					e.runPoint(ctx, def, j, out)
-				}
-			}()
-		}
-		for _, def := range e.defs {
-			if _, done := byIndex[def.Index]; done {
-				continue
+	work := make(chan PointDef)
+	var wg sync.WaitGroup
+	for i := 0; i < parallel; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for def := range work {
+				e.runPoint(ctx, def, j, emit)
 			}
-			if ctx.Err() != nil {
-				break
-			}
-			work <- def
+		}()
+	}
+	for _, def := range e.defs {
+		if skip[def.Index] {
+			continue
 		}
-		close(work)
-		wg.Wait()
-	}()
-	return out, nil
+		if ctx.Err() != nil {
+			break
+		}
+		work <- def
+	}
+	close(work)
+	wg.Wait()
+
+	// Every emitted point counts as completed or failed exactly once.
+	if e.completed.Load()+e.failed.Load() == int64(len(e.defs)) {
+		return nil
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	return fmt.Errorf("sweep: %d of %d points abandoned", int64(len(e.defs))-e.completed.Load()-e.failed.Load(), len(e.defs))
 }
 
 // runPoint executes one shard and does the engine's bookkeeping around it:
 // counters, journaling, emission.
-func (e *Engine) runPoint(ctx context.Context, def PointDef, j *Journal, out chan<- Point) {
+func (e *Engine) runPoint(ctx context.Context, def PointDef, j *Journal, emit func(Point)) {
 	p, hit, err := ExecPoint(ctx, e.cache, def, func() (system.Results, error) {
 		return e.runShard(ctx, def)
 	})
@@ -490,7 +454,7 @@ func (e *Engine) runPoint(ctx context.Context, def PointDef, j *Journal, out cha
 		}
 		e.completed.Add(1)
 	}
-	out <- p
+	emit(p)
 }
 
 // ExecPoint executes one grid point through cache and returns it as a
@@ -526,19 +490,6 @@ func ExecPoint(ctx context.Context, cache *Cache, def PointDef, run func() (syst
 	return p, hit, nil
 }
 
-// Run expands and executes spec with default options, returning the point
-// stream (see Engine.Start). It is the one-call library API:
-//
-//	ch, err := sweep.Run(ctx, spec)
-//	for p := range ch { ... }
-func Run(ctx context.Context, spec Spec) (<-chan Point, error) {
-	eng, err := New(spec, Options{})
-	if err != nil {
-		return nil, err
-	}
-	return eng.Start(ctx)
-}
-
 // Canonicalize round-trips res through its JSON encoding — the journal's
 // storage format — and strips the memtrace summary (trace artifacts belong
 // to the job API, not to sweep points). Because every Results field
@@ -556,15 +507,4 @@ func Canonicalize(res system.Results) (system.Results, error) {
 		return system.Results{}, err
 	}
 	return out, nil
-}
-
-// Collect drains ch and returns every point sorted by Index — the merged
-// result set of a sweep, in grid order regardless of completion order.
-func Collect(ch <-chan Point) []Point {
-	var pts []Point
-	for p := range ch {
-		pts = append(pts, p)
-	}
-	sort.Slice(pts, func(i, k int) bool { return pts[i].Index < pts[k].Index })
-	return pts
 }

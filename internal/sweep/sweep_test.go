@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -22,7 +23,7 @@ import (
 // fakeRun is a deterministic stand-in simulator: results are a pure
 // function of (config, benchmarks), including a populated latency
 // histogram, so bit-identity assertions exercise the full Results shape.
-func fakeRun(_ context.Context, cfg config.Config, benchmarks []string) (system.Results, error) {
+func fakeRun(_ context.Context, _ string, cfg config.Config, benchmarks []string) (system.Results, error) {
 	h := &stats.Histogram{}
 	mix := cfg.Seed*31 + cfg.MaxInsts + int64(len(benchmarks))*7
 	for i := int64(1); i <= 64; i++ {
@@ -44,6 +45,22 @@ func fakeRun(_ context.Context, cfg config.Config, benchmarks []string) (system.
 		AvgReadLatencyNS: float64(mix%300) + 0.5,
 		LatencyHist:      h,
 	}, nil
+}
+
+// collect executes eng and returns its points sorted by Index — the merged
+// result set in grid order — along with Execute's error.
+func collect(ctx context.Context, eng *Engine) ([]Point, error) {
+	var (
+		mu  sync.Mutex
+		pts []Point
+	)
+	err := eng.Execute(ctx, func(p Point) {
+		mu.Lock()
+		pts = append(pts, p)
+		mu.Unlock()
+	})
+	sort.Slice(pts, func(i, k int) bool { return pts[i].Index < pts[k].Index })
+	return pts, err
 }
 
 func testSpec(nConfigs, nWorkloads int) Spec {
@@ -157,11 +174,10 @@ func TestRunStreamsAllPoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, err := eng.Start(context.Background())
+	pts, err := collect(context.Background(), eng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts := Collect(ch)
 	if len(pts) != 6 {
 		t.Fatalf("got %d points, want 6", len(pts))
 	}
@@ -201,15 +217,17 @@ func TestSingleFlightAcrossPoints(t *testing.T) {
 		Parallel:    1,
 	}
 	var runs atomic.Int64
-	eng, err := New(s, Options{Run: func(ctx context.Context, cfg config.Config, b []string) (system.Results, error) {
+	eng, err := New(s, Options{Run: func(ctx context.Context, tier string, cfg config.Config, b []string) (system.Results, error) {
 		runs.Add(1)
-		return fakeRun(ctx, cfg, b)
+		return fakeRun(ctx, tier, cfg, b)
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, _ := eng.Start(context.Background())
-	pts := Collect(ch)
+	pts, err := collect(context.Background(), eng)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(pts) != 2 {
 		t.Fatalf("got %d points", len(pts))
 	}
@@ -228,7 +246,7 @@ func TestParallelBound(t *testing.T) {
 	s := testSpec(4, 2)
 	s.Parallel = 2
 	var cur, peak atomic.Int64
-	eng, err := New(s, Options{Run: func(ctx context.Context, cfg config.Config, b []string) (system.Results, error) {
+	eng, err := New(s, Options{Run: func(ctx context.Context, tier string, cfg config.Config, b []string) (system.Results, error) {
 		n := cur.Add(1)
 		for {
 			p := peak.Load()
@@ -237,13 +255,14 @@ func TestParallelBound(t *testing.T) {
 			}
 		}
 		defer cur.Add(-1)
-		return fakeRun(ctx, cfg, b)
+		return fakeRun(ctx, tier, cfg, b)
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, _ := eng.Start(context.Background())
-	Collect(ch)
+	if _, err := collect(context.Background(), eng); err != nil {
+		t.Fatal(err)
+	}
 	if got := peak.Load(); got > 2 {
 		t.Fatalf("peak concurrency %d exceeds Parallel=2", got)
 	}
@@ -254,17 +273,20 @@ func TestErrorPointsEmittedNotJournaled(t *testing.T) {
 	s := testSpec(1, 2)
 	s.Journal = filepath.Join(dir, "j.ndjson")
 	boom := errors.New("bank exploded")
-	eng, err := New(s, Options{Run: func(ctx context.Context, cfg config.Config, b []string) (system.Results, error) {
+	eng, err := New(s, Options{Run: func(ctx context.Context, tier string, cfg config.Config, b []string) (system.Results, error) {
 		if len(b) == 2 { // wl-1 has two benchmarks
 			return system.Results{}, boom
 		}
-		return fakeRun(ctx, cfg, b)
+		return fakeRun(ctx, tier, cfg, b)
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, _ := eng.Start(context.Background())
-	pts := Collect(ch)
+	// Failed points still count as emitted: the sweep completes.
+	pts, err := collect(context.Background(), eng)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(pts) != 2 {
 		t.Fatalf("got %d points", len(pts))
 	}
@@ -290,11 +312,10 @@ func TestErrorPointsEmittedNotJournaled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch2, err := eng2.Start(context.Background())
+	pts2, err := collect(context.Background(), eng2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts2 := Collect(ch2)
 	for _, p := range pts2 {
 		if p.Err != "" {
 			t.Fatalf("resumed point %d still failing: %s", p.Index, p.Err)
@@ -319,8 +340,10 @@ func TestKillAndResumeBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refCh, _ := ref.Start(context.Background())
-	want := Collect(refCh)
+	want, err := collect(context.Background(), ref)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(want) != 12 {
 		t.Fatalf("reference run produced %d points", len(want))
 	}
@@ -337,8 +360,8 @@ func TestKillAndResumeBitIdentical(t *testing.T) {
 			// by TestJournalTruncatedTail).
 			ctx, cancel := context.WithCancel(context.Background())
 			var done atomic.Int64
-			killed, err := New(s, Options{Run: func(c context.Context, cfg config.Config, b []string) (system.Results, error) {
-				res, err := fakeRun(c, cfg, b)
+			killed, err := New(s, Options{Run: func(c context.Context, tier string, cfg config.Config, b []string) (system.Results, error) {
+				res, err := fakeRun(c, tier, cfg, b)
 				if done.Add(1) >= int64(killAfter) {
 					cancel()
 				}
@@ -347,11 +370,7 @@ func TestKillAndResumeBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ch, err := killed.Start(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			partial := Collect(ch)
+			partial, err := collect(ctx, killed)
 			cancel()
 			if len(partial) == 0 {
 				t.Fatal("interrupted run completed nothing — cannot exercise resume")
@@ -359,17 +378,19 @@ func TestKillAndResumeBitIdentical(t *testing.T) {
 			if len(partial) == 12 {
 				t.Skip("interrupted run finished before cancellation took effect")
 			}
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("interrupted run returned %v, want context.Canceled", err)
+			}
 
 			// Resume: same spec, same journal, fresh engine.
 			resumed, err := New(s, Options{Run: fakeRun})
 			if err != nil {
 				t.Fatal(err)
 			}
-			ch2, err := resumed.Start(context.Background())
+			got, err := collect(context.Background(), resumed)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := Collect(ch2)
 
 			if pr := resumed.Progress(); pr.Replayed < 1 {
 				t.Fatalf("resume replayed nothing: %+v", pr)
@@ -389,11 +410,9 @@ func TestJournalFingerprintMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, err := eng.Start(context.Background())
-	if err != nil {
+	if _, err := collect(context.Background(), eng); err != nil {
 		t.Fatal(err)
 	}
-	Collect(ch)
 
 	other := s
 	other.MaxInsts = 99_999 // different grid identity, same journal path
@@ -401,7 +420,7 @@ func TestJournalFingerprintMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng2.Start(context.Background()); err == nil || !strings.Contains(err.Error(), "different sweep spec") {
+	if _, err := collect(context.Background(), eng2); err == nil || !strings.Contains(err.Error(), "different sweep spec") {
 		t.Fatalf("mismatched journal accepted: %v", err)
 	}
 }
@@ -416,8 +435,10 @@ func TestJournalTruncatedTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, _ := eng.Start(context.Background())
-	want := Collect(ch)
+	want, err := collect(context.Background(), eng)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Tear the journal: chop the last record in half.
 	b, err := os.ReadFile(s.Journal)
@@ -432,11 +453,10 @@ func TestJournalTruncatedTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch2, err := eng2.Start(context.Background())
+	got, err := collect(context.Background(), eng2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := Collect(ch2)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("torn-tail resume diverged from original run")
 	}
@@ -451,10 +471,11 @@ func TestStartTwiceRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, _ := eng.Start(context.Background())
-	Collect(ch)
-	if _, err := eng.Start(context.Background()); err == nil {
-		t.Fatal("second Start accepted")
+	if _, err := collect(context.Background(), eng); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Execute(context.Background(), func(Point) {}); err == nil {
+		t.Fatal("second Execute accepted")
 	}
 }
 
@@ -462,18 +483,18 @@ func TestCancelBeforeStartEmitsNothingFresh(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var runs atomic.Int64
-	eng, err := New(testSpec(2, 2), Options{Run: func(c context.Context, cfg config.Config, b []string) (system.Results, error) {
+	eng, err := New(testSpec(2, 2), Options{Run: func(c context.Context, tier string, cfg config.Config, b []string) (system.Results, error) {
 		runs.Add(1)
 		return system.Results{}, c.Err()
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, err := eng.Start(ctx)
-	if err != nil {
-		t.Fatal(err)
+	pts, err := collect(ctx, eng)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled sweep returned %v, want context.Canceled", err)
 	}
-	if pts := Collect(ch); len(pts) != 0 {
+	if len(pts) != 0 {
 		t.Fatalf("cancelled sweep emitted %d points", len(pts))
 	}
 }

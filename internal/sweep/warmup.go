@@ -5,11 +5,13 @@ import (
 	"sync"
 
 	"fbdsim/internal/config"
+	"fbdsim/internal/snapshot"
 	"fbdsim/internal/system"
 )
 
 // WarmupKey returns the identity hash of a grid point's warmup prefix: the
-// cache key of its configuration with the warmup-inert knobs masked out.
+// snapshot fingerprint of its configuration with the warmup-inert knobs
+// masked out.
 // Two points with equal WarmupKeys execute identical simulations from cycle
 // zero through the warmup boundary, so one point's warm-boundary snapshot is
 // a valid starting state for the others. Masked knobs:
@@ -28,7 +30,7 @@ func WarmupKey(cfg config.Config, benchmarks []string) string {
 	if cfg.Mem.Interleave != config.MultiCachelineInterleave {
 		cfg.Mem.RegionLines = 0
 	}
-	return Key(cfg, benchmarks)
+	return snapshot.Fingerprint(cfg, benchmarks)
 }
 
 // warmupGroup is the shared-warmup rendezvous of one WarmupKey: the first
@@ -77,7 +79,7 @@ func (e *Engine) runShard(ctx context.Context, def PointDef) (system.Results, er
 	// warming; analytic: a memoized probe) and bypass the
 	// warmup-sharing machinery entirely.
 	if def.Fidelity != "" {
-		return e.runTier(ctx, def.Fidelity, def.Cfg, def.Benchmarks)
+		return e.run(ctx, def.Fidelity, def.Cfg, def.Benchmarks)
 	}
 	g, leader := e.warmupGroupFor(def)
 	switch {
@@ -85,7 +87,7 @@ func (e *Engine) runShard(ctx context.Context, def PointDef) (system.Results, er
 		if def.Cfg.WarmupInsts > 0 {
 			e.warmups.Add(1)
 		}
-		return e.run(ctx, def.Cfg, def.Benchmarks)
+		return e.run(ctx, "", def.Cfg, def.Benchmarks)
 
 	case leader:
 		// Leader: warm up from cycle zero, snapshotting the machine at the
@@ -103,7 +105,7 @@ func (e *Engine) runShard(ctx context.Context, def PointDef) (system.Results, er
 				return nil
 			},
 		})
-		return e.run(ctx, def.Cfg, def.Benchmarks)
+		return e.run(ctx, "", def.Cfg, def.Benchmarks)
 
 	default:
 		// Follower: wait for the leader's warm snapshot, then run the
@@ -116,10 +118,10 @@ func (e *Engine) runShard(ctx context.Context, def PointDef) (system.Results, er
 		if g.data == nil {
 			// The leader produced no snapshot; warm up independently.
 			e.warmups.Add(1)
-			return e.run(ctx, def.Cfg, def.Benchmarks)
+			return e.run(ctx, "", def.Cfg, def.Benchmarks)
 		}
 		key := WarmupKey(def.Cfg, def.Benchmarks)
 		ctx := system.WithRestore(ctx, system.RestoreSpec{Data: g.data, Fingerprint: key})
-		return e.run(ctx, def.Cfg, def.Benchmarks)
+		return e.run(ctx, "", def.Cfg, def.Benchmarks)
 	}
 }

@@ -104,11 +104,11 @@ func BenchmarkSharedWarmup(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					ch, err := eng.Start(context.Background())
+					pts, err := collect(context.Background(), eng)
 					if err != nil {
 						b.Fatal(err)
 					}
-					for _, p := range Collect(ch) {
+					for _, p := range pts {
 						if p.Err != "" {
 							b.Fatalf("point %s/%s: %s", p.Config, p.Workload, p.Err)
 						}
@@ -129,12 +129,8 @@ func TestSharedWarmupOneWarmupPerGroup(t *testing.T) {
 		if err != nil {
 			return nil, Progress{}, err
 		}
-		ch, err := eng.Start(context.Background())
-		if err != nil {
-			return nil, Progress{}, err
-		}
-		pts := Collect(ch)
-		return pts, eng.Progress(), nil
+		pts, err := collect(context.Background(), eng)
+		return pts, eng.Progress(), err
 	}
 
 	plain, plainProg, err := run(false)

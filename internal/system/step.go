@@ -107,7 +107,3 @@ func (s *System) StepWindow(ctx context.Context, ramp, measure int64) (Results, 
 // Committed reports the per-core cumulative committed-instruction counts —
 // the sampling tier's notion of stream position.
 func (s *System) Committed() []int64 { return s.committedNow() }
-
-// Cycle reports the boundary cycle the machine is parked at (the resume
-// point of the next StepWindow).
-func (s *System) Cycle() int64 { return s.lastCycle }

@@ -7,7 +7,6 @@ package system
 import (
 	"context"
 	"fmt"
-	"os"
 
 	"fbdsim/internal/ambcache"
 	"fbdsim/internal/clock"
@@ -161,10 +160,9 @@ type System struct {
 	ratio int64
 
 	// refLoop forces the tick-every-cycle reference loop instead of the
-	// event-driven fast-forward loop. Settable via the SIM_REFERENCE_LOOP
-	// environment variable (any non-empty value) or SetReferenceLoop; the
-	// two loops produce bit-identical Results, so this exists as an escape
-	// hatch and as the oracle for the equivalence property tests.
+	// event-driven fast-forward loop (SetReferenceLoop). The two loops
+	// produce bit-identical Results; the reference loop is the oracle of
+	// the equivalence property tests.
 	refLoop bool
 
 	// resumeCycle / resumeWarm are set by RestoreSnapshot: the boundary
@@ -209,12 +207,11 @@ func New(cfg config.Config, benchmarks []string) (*System, error) {
 	// the hot set.
 	hier.PrewarmL2(0.35)
 	s := &System{
-		cfg:     cfg,
-		names:   append([]string(nil), benchmarks...),
-		ctrl:    ctrl,
-		hier:    hier,
-		ratio:   int64(clock.CPUCyclesPerTCK(cfg.Mem.DataRate)),
-		refLoop: os.Getenv("SIM_REFERENCE_LOOP") != "",
+		cfg:   cfg,
+		names: append([]string(nil), benchmarks...),
+		ctrl:  ctrl,
+		hier:  hier,
+		ratio: int64(clock.CPUCyclesPerTCK(cfg.Mem.DataRate)),
 	}
 	for i, name := range benchmarks {
 		p, err := trace.ProfileFor(name)
@@ -241,7 +238,7 @@ func (s *System) Run() (Results, error) {
 
 // SetReferenceLoop selects (true) or deselects (false) the tick-every-cycle
 // reference loop for subsequent Run/RunContext calls. It exists for the
-// equivalence property tests; production callers use SIM_REFERENCE_LOOP.
+// equivalence property tests.
 func (s *System) SetReferenceLoop(ref bool) { s.refLoop = ref }
 
 // checkInterval is the cycle batch between boundary checks (cancellation,
@@ -258,8 +255,7 @@ const checkInterval = int64(1024)
 // By default the system runs the event-driven loop, which jumps from one
 // machine-wide interesting cycle to the next instead of ticking every CPU
 // cycle; it produces bit-identical Results to the reference loop (see
-// DESIGN.md §9 for the quiescence contract each component provides). Set
-// SIM_REFERENCE_LOOP=1 to force the reference loop.
+// DESIGN.md §9 for the quiescence contract each component provides).
 func (s *System) RunContext(ctx context.Context) (Results, error) {
 	if s.refLoop {
 		return s.runReference(ctx)
@@ -267,18 +263,73 @@ func (s *System) RunContext(ctx context.Context) (Results, error) {
 	return s.runFast(ctx)
 }
 
+// runState is what both run loops carry from one check boundary to the
+// next.
+type runState struct {
+	ctx       context.Context
+	done      <-chan struct{}
+	progress  func(Progress)
+	cp        *CheckpointSpec
+	cpSt      checkpointState
+	warm      *warmSnapshot
+	maxCycles int64
+}
+
+func (s *System) newRunState(ctx context.Context) runState {
+	return runState{
+		ctx:       ctx,
+		done:      ctx.Done(),
+		progress:  progressFromContext(ctx),
+		cp:        checkpointFromContext(ctx),
+		warm:      s.resumeWarm,
+		maxCycles: s.progressBound(),
+	}
+}
+
+// boundary runs the checks both loops make at every checkInterval
+// boundary, in one order: cancellation, progress, the warmup snapshot,
+// measurement end, checkpoint and the wedge guard. end reports that the
+// run stops here and returns (res, err).
+func (s *System) boundary(st *runState, cycle int64) (res Results, end bool, err error) {
+	if st.done != nil {
+		select {
+		case <-st.done:
+			return Results{}, true, st.ctx.Err()
+		default:
+		}
+	}
+	if st.progress != nil {
+		st.progress(Progress{Cycle: cycle, Committed: s.minCommitted(), Warm: st.warm != nil})
+	}
+	justWarmed := false
+	if st.warm == nil {
+		if s.minCommitted() >= s.cfg.WarmupInsts {
+			snap := s.snapshot(cycle)
+			st.warm = &snap
+			justWarmed = true
+			// Restart the trace window so the recorder covers exactly
+			// the measured interval (no-op when tracing is off).
+			s.ctrl.ResetTraceMeasurement(clock.Time(cycle) * clock.CPUCycle)
+		}
+	} else if s.maxDelta(st.warm) >= s.cfg.MaxInsts {
+		return s.results(st.warm, cycle), true, nil
+	}
+	if st.cp != nil {
+		if err := s.maybeCheckpoint(st.cp, &st.cpSt, cycle, st.warm, justWarmed); err != nil {
+			return Results{}, true, err
+		}
+	}
+	if cycle > st.maxCycles {
+		return Results{}, true, s.wedgedError(cycle, st.maxCycles)
+	}
+	return Results{}, false, nil
+}
+
 // runReference is the naive loop: every component ticks every CPU cycle.
-// It is the behavioural oracle the fast loop is tested against, and the
-// escape hatch if a model change ever violates a quiescence contract.
+// It is the behavioural oracle the fast loop is tested against.
 func (s *System) runReference(ctx context.Context) (Results, error) {
 	cycle := s.resumeCycle
-	warm := s.resumeWarm
-	cp := checkpointFromContext(ctx)
-	var cpSt checkpointState
-	done := ctx.Done()
-	progress := progressFromContext(ctx)
-	maxCycles := s.progressBound()
-
+	st := s.newRunState(ctx)
 	for {
 		now := clock.Time(cycle) * clock.CPUCycle
 		if cycle%s.ratio == 0 {
@@ -293,36 +344,8 @@ func (s *System) runReference(ctx context.Context) (Results, error) {
 		if cycle%checkInterval != 0 {
 			continue
 		}
-		if done != nil {
-			select {
-			case <-done:
-				return Results{}, ctx.Err()
-			default:
-			}
-		}
-		if progress != nil {
-			progress(Progress{Cycle: cycle, Committed: s.minCommitted(), Warm: warm != nil})
-		}
-		justWarmed := false
-		if warm == nil {
-			if s.minCommitted() >= s.cfg.WarmupInsts {
-				snap := s.snapshot(cycle)
-				warm = &snap
-				justWarmed = true
-				// Restart the trace window so the recorder covers exactly
-				// the measured interval (no-op when tracing is off).
-				s.ctrl.ResetTraceMeasurement(clock.Time(cycle) * clock.CPUCycle)
-			}
-		} else if s.maxDelta(warm) >= s.cfg.MaxInsts {
-			return s.results(warm, cycle), nil
-		}
-		if cp != nil {
-			if err := s.maybeCheckpoint(cp, &cpSt, cycle, warm, justWarmed); err != nil {
-				return Results{}, err
-			}
-		}
-		if cycle > maxCycles {
-			return Results{}, s.wedgedError(cycle, maxCycles)
+		if res, end, err := s.boundary(&st, cycle); end {
+			return res, err
 		}
 	}
 }
@@ -342,15 +365,10 @@ func (s *System) runReference(ctx context.Context) (Results, error) {
 // and at every check boundary (cpu.Core.Settle).
 func (s *System) runFast(ctx context.Context) (Results, error) {
 	cycle := s.resumeCycle
-	warm := s.resumeWarm
-	cp := checkpointFromContext(ctx)
-	var cpSt checkpointState
-	done := ctx.Done()
-	progress := progressFromContext(ctx)
-	maxCycles := s.progressBound()
+	st := s.newRunState(ctx)
 	// The reference loop errors out at the first check boundary past
 	// maxCycles; a fully wedged machine fast-forwards straight there.
-	errBoundary := (maxCycles/checkInterval + 1) * checkInterval
+	errBoundary := (st.maxCycles/checkInterval + 1) * checkInterval
 
 	// Restore-aware loop state: at a fresh start (cycle 0) these come out to
 	// checkInterval and 0; resuming from a checkpointed boundary X they come
@@ -371,39 +389,14 @@ func (s *System) runFast(ctx context.Context) (Results, error) {
 		// boundary and still perform its checks.
 		if cycle == nextCheck {
 			nextCheck += checkInterval
-			if done != nil {
-				select {
-				case <-done:
-					return Results{}, ctx.Err()
-				default:
-				}
-			}
-			// Account every skipped core's owed cycles: the state read
-			// and serialized below must match the reference loop's.
+			// Account every skipped core's owed cycles first: the state
+			// read and serialized at the boundary must match the
+			// reference loop's.
 			for _, c := range s.cores {
 				c.Settle(cycle)
 			}
-			if progress != nil {
-				progress(Progress{Cycle: cycle, Committed: s.minCommitted(), Warm: warm != nil})
-			}
-			justWarmed := false
-			if warm == nil {
-				if s.minCommitted() >= s.cfg.WarmupInsts {
-					snap := s.snapshot(cycle)
-					warm = &snap
-					justWarmed = true
-					s.ctrl.ResetTraceMeasurement(clock.Time(cycle) * clock.CPUCycle)
-				}
-			} else if s.maxDelta(warm) >= s.cfg.MaxInsts {
-				return s.results(warm, cycle), nil
-			}
-			if cp != nil {
-				if err := s.maybeCheckpoint(cp, &cpSt, cycle, warm, justWarmed); err != nil {
-					return Results{}, err
-				}
-			}
-			if cycle > maxCycles {
-				return Results{}, s.wedgedError(cycle, maxCycles)
+			if res, end, err := s.boundary(&st, cycle); end {
+				return res, err
 			}
 		}
 
@@ -431,11 +424,11 @@ func (s *System) runFast(ctx context.Context) (Results, error) {
 		// counts are frozen while skipping, so armed-ness cannot change
 		// mid-skip, and the snapshot must land on the same boundary cycle
 		// the reference loop uses.
-		if warm == nil {
+		if st.warm == nil {
 			if target > nextCheck && s.minCommitted() >= s.cfg.WarmupInsts {
 				target = nextCheck
 			}
-		} else if target > nextCheck && s.maxDelta(warm) >= s.cfg.MaxInsts {
+		} else if target > nextCheck && s.maxDelta(st.warm) >= s.cfg.MaxInsts {
 			target = nextCheck
 		}
 		if target > errBoundary {
@@ -447,9 +440,9 @@ func (s *System) runFast(ctx context.Context) (Results, error) {
 		// One cancellation check per skip preserves the reference loop's
 		// wall-clock cancellation latency: a skip costs no per-core work,
 		// far less than the 1024 executed cycles between reference checks.
-		if done != nil {
+		if st.done != nil {
 			select {
-			case <-done:
+			case <-st.done:
 				return Results{}, ctx.Err()
 			default:
 			}
